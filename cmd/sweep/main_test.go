@@ -156,6 +156,29 @@ func TestUsageErrors(t *testing.T) {
 	if !strings.Contains(errb.String(), "unknown mode") {
 		t.Fatalf("stderr = %q", errb.String())
 	}
+	// Each remaining usage error exits 2 with exactly one stderr line.
+	for name, c := range map[string]struct {
+		args []string
+		want string
+	}{
+		"lockstep is no longer a mode": {[]string{"-mode", "lockstep"}, "(want sim, sampled or model)"},
+		"negative insts":               {[]string{"-insts", "-5"}, "-insts must be positive"},
+		"warmup past insts":            {[]string{"-insts", "2000", "-warmup", "5000"}, "-warmup 5000 must be less than -insts 2000"},
+		"warmup equal to insts":        {[]string{"-insts", "2000", "-warmup", "2000"}, "-warmup 2000 must be less than -insts 2000"},
+	} {
+		out.Reset()
+		errb.Reset()
+		if code := realMain(c.args, &out, &errb); code != 2 {
+			t.Errorf("%s: exit = %d, want 2 (stderr: %s)", name, code, errb.String())
+		}
+		se := errb.String()
+		if !strings.Contains(se, c.want) || strings.Count(se, "\n") != 1 {
+			t.Errorf("%s: stderr = %q, want one line containing %q", name, se, c.want)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%s: wrote %d bytes to stdout", name, out.Len())
+		}
+	}
 }
 
 // TestPredFlag pins the predictor axis: an unknown preset is a usage error
@@ -249,63 +272,6 @@ func TestParallelDeterminism(t *testing.T) {
 	}
 	if lines := strings.Count(serial, "\n"); lines != 28 { // header + 27 rows
 		t.Fatalf("CSV has %d lines, want 28", lines)
-	}
-}
-
-// TestLockstepModeMatchesSim is the lockstep acceptance gate at the command
-// level: `-mode lockstep` must write byte-identical CSV to `-mode sim` over
-// the same grid — header included — for set sizes that do and do not divide
-// the 27-point grid, and must still run every point on the overlay-replay
-// fast path.
-func TestLockstepModeMatchesSim(t *testing.T) {
-	render := func(extra ...string) (string, string) {
-		var out, errb bytes.Buffer
-		if code := realMain(sweepArgs(extra...), &out, &errb); code != 0 {
-			t.Fatalf("%v exit = %d (stderr: %s)", extra, code, errb.String())
-		}
-		return out.String(), errb.String()
-	}
-	sim, _ := render("-j", "4")
-	for _, k := range []string{"2", "5", "8", "27"} {
-		lockstep, se := render("-mode", "lockstep", "-lockstep-k", k, "-j", "4")
-		if lockstep != sim {
-			t.Errorf("-lockstep-k %s CSV differs from sim mode:\n--- sim ---\n%s--- lockstep ---\n%s", k, sim, lockstep)
-		}
-		if !strings.Contains(se, "simulator paths: 27×soa+overlay") {
-			t.Errorf("-lockstep-k %s stderr missing overlay path summary: %q", k, se)
-		}
-		if strings.Contains(se, "fallback:") {
-			t.Errorf("-lockstep-k %s unexpected fallback: %q", k, se)
-		}
-	}
-}
-
-// TestLockstepBrokenPointFailsSet pins SimulateMany's all-or-nothing set
-// contract at the command level: one broken design point fails its whole
-// K-set (those rows are withheld), every other set still emits, and the
-// exit code reports the failure.
-func TestLockstepBrokenPointFailsSet(t *testing.T) {
-	testPointHook = func(cfg *uarch.Config) {
-		if cfg.Name == "w4-d7-r128" {
-			cfg.ROBSize = -1 // fails Validate with ErrBadConfig
-		}
-	}
-	defer func() { testPointHook = nil }()
-
-	var out, errb bytes.Buffer
-	code := realMain(sweepArgs("-mode", "lockstep", "-lockstep-k", "8"), &out, &errb)
-	if code != 1 {
-		t.Fatalf("exit = %d, want 1 (stderr: %s)", code, errb.String())
-	}
-	// The broken point is grid index 13, inside the second 8-point set: the
-	// whole set's rows are withheld, the other 19 points survive.
-	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
-	if len(lines) != 1+19 {
-		t.Fatalf("CSV has %d lines, want 20:\n%s", len(lines), out.String())
-	}
-	se := errb.String()
-	if !strings.Contains(se, "FAIL lockstep[") || !strings.Contains(se, "invalid configuration") {
-		t.Fatalf("stderr missing set failure: %q", se)
 	}
 }
 
@@ -412,14 +378,12 @@ func TestEndpointsModeMatchesInProcess(t *testing.T) {
 	}
 }
 
-// TestEndpointsLockstepAndSampledMatchInProcess extends the distributed gate
-// to the new engines: a fleet-sharded lockstep sweep merges to the same bytes
-// as the in-process sim sweep (lockstep rows are sim rows), and a sampled
-// fleet sweep merges to the in-process sampled CSV, confidence columns
-// included.
-func TestEndpointsLockstepAndSampledMatchInProcess(t *testing.T) {
+// TestEndpointsSampledMatchesInProcess extends the distributed gate to the
+// sampling engine: a sampled fleet sweep merges to the in-process sampled
+// CSV, confidence columns included.
+func TestEndpointsSampledMatchesInProcess(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full-grid distributed sweeps skipped in -short mode")
+		t.Skip("full-grid distributed sweep skipped in -short mode")
 	}
 	s := service.New(service.Options{Workers: 2})
 	ts := httptest.NewServer(s.Handler())
@@ -438,12 +402,6 @@ func TestEndpointsLockstepAndSampledMatchInProcess(t *testing.T) {
 			t.Fatalf("%v exit = %d (stderr: %s)", args, code, errb.String())
 		}
 		return out.String()
-	}
-
-	local := run(sweepArgs("-j", "4"))
-	dist := run(sweepArgs("-mode", "lockstep", "-lockstep-k", "4", "-endpoints", ts.URL))
-	if dist != local {
-		t.Errorf("distributed lockstep CSV differs from in-process sim:\n--- local ---\n%s--- distributed ---\n%s", local, dist)
 	}
 
 	sampledArgs := []string{"-mode", "sampled", "-sample-detailed", "500", "-sample-skip", "1500"}

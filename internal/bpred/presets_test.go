@@ -22,7 +22,7 @@ func TestPresetsBuildAndMatchKind(t *testing.T) {
 
 func TestPresetTournamentMatchesBaseline(t *testing.T) {
 	// uarch.Baseline() hardcodes this exact predictor; the preset must stay
-	// in lockstep so "-pred tournament" is byte-identical to a default run.
+	// in step with it so "-pred tournament" is byte-identical to a default run.
 	want := Config{Kind: "tournament", Entries: 16384, HistBits: 12, BTBEntries: 4096}
 	if got, _ := Preset("tournament"); got != want {
 		t.Errorf("tournament preset = %+v, want %+v", got, want)

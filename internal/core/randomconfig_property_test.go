@@ -12,17 +12,17 @@ import (
 	"intervalsim/internal/workload"
 )
 
-// randomKSet derives a K-set of 2–5 structurally distinct configurations
-// from a seed: the axes a sweep varies (window, queue, depth, width), all on
-// the baseline predictor and memory hierarchy.
-func randomKSet(seed uint64) []uarch.Config {
+// randomConfigs derives 2–5 structurally distinct configurations from a
+// seed: the axes a sweep varies (window, queue, depth, width), all on the
+// baseline predictor and memory hierarchy.
+func randomConfigs(seed uint64) []uarch.Config {
 	pick := func(shift uint, mod int) int { return int((seed >> shift) % uint64(mod)) }
 	k := 2 + pick(58, 4)
 	cfgs := make([]uarch.Config, k)
 	for i := range cfgs {
 		sh := uint(i * 7)
 		c := uarch.Baseline()
-		c.Name = "kset-" + string(rune('a'+i))
+		c.Name = "rand-" + string(rune('a'+i))
 		c.FrontendDepth = 3 + pick(sh, 9)
 		c.ROBSize = 32 + 16*pick(sh+2, 15)
 		c.IQSize = 8 + 8*pick(sh+4, 8)
@@ -36,20 +36,19 @@ func randomKSet(seed uint64) []uarch.Config {
 	return cfgs
 }
 
-// TestLockstepDecompositionIdentityProperty fuzzes random K-sets of
-// configurations over random workloads through SimulateMany and checks, for
-// every member of the set:
+// TestRandomConfigDecompositionIdentityProperty fuzzes random sets of
+// configurations over random workloads through RunContext and checks, for
+// every configuration:
 //
-//   - full lockstep runs: the paper's decomposition identity
+//   - full runs: the paper's decomposition identity
 //     Total = Frontend + BaseILP + FULatency + ShortDMiss + LongDMiss + Residual
 //     holds for every misprediction, with the Frontend term equal to that
-//     config's own pipeline depth (a batch-level mixup would break exactly
-//     this per-config attribution);
-//   - sampled lockstep runs: the extrapolation bookkeeping is self-consistent
-//     — per-config SampleStats with ordered intervals, a unit-mean CPI close
-//     to the aggregate sampled CPI, and the dependence fallback reported on
-//     each member's own Result.
-func TestLockstepDecompositionIdentityProperty(t *testing.T) {
+//     config's own pipeline depth;
+//   - sampled runs: the extrapolation bookkeeping is self-consistent —
+//     SampleStats with ordered intervals, a unit-mean CPI close to the
+//     aggregate sampled CPI, and the dependence fallback reported on the
+//     Result.
+func TestRandomConfigDecompositionIdentityProperty(t *testing.T) {
 	ctx := context.Background()
 	f := func(seed uint64) bool {
 		wc := propWorkload(seed)
@@ -63,16 +62,16 @@ func TestLockstepDecompositionIdentityProperty(t *testing.T) {
 			return false
 		}
 		soa := trace.Pack(tr)
-		cfgs := randomKSet(seed)
+		cfgs := randomConfigs(seed)
 
-		full, err := uarch.SimulateMany(ctx, soa, nil, cfgs, uarch.Options{
-			RecordMispredicts: true, RecordLoadLevels: true,
-		})
-		if err != nil {
-			t.Logf("seed %d (full): %v", seed, err)
-			return false
-		}
-		for i, res := range full {
+		for i, cfg := range cfgs {
+			res, err := uarch.RunContext(ctx, soa.Reader(), cfg, uarch.Options{
+				RecordMispredicts: true, RecordLoadLevels: true,
+			})
+			if err != nil {
+				t.Logf("seed %d config %d (full): %v", seed, i, err)
+				return false
+			}
 			d, err := NewDecomposer(tr, res)
 			if err != nil {
 				t.Logf("seed %d config %d: %v", seed, i, err)
@@ -84,9 +83,9 @@ func TestLockstepDecompositionIdentityProperty(t *testing.T) {
 					t.Logf("seed %d config %d breakdown %d: components sum to %v, total %v", seed, i, j, sum, b.Total)
 					return false
 				}
-				if b.Frontend != float64(cfgs[i].FrontendDepth) {
+				if b.Frontend != float64(cfg.FrontendDepth) {
 					t.Logf("seed %d config %d breakdown %d: frontend %v != this config's depth %d",
-						seed, i, j, b.Frontend, cfgs[i].FrontendDepth)
+						seed, i, j, b.Frontend, cfg.FrontendDepth)
 					return false
 				}
 				if b.BaseILP < 0 || b.FULatency < 0 || b.ShortDMiss < 0 || b.LongDMiss < 0 {
@@ -96,20 +95,20 @@ func TestLockstepDecompositionIdentityProperty(t *testing.T) {
 			}
 		}
 
-		sampled, err := uarch.SimulateMany(ctx, soa, nil, cfgs, uarch.Options{
-			SampleStartSkip: 2_000, SampleDetailed: 1_500, SampleSkip: 3_000,
-		})
-		if err != nil {
-			t.Logf("seed %d (sampled): %v", seed, err)
-			return false
-		}
-		for i, res := range sampled {
+		for i, cfg := range cfgs {
+			res, err := uarch.RunContext(ctx, soa.Reader(), cfg, uarch.Options{
+				SampleStartSkip: 2_000, SampleDetailed: 1_500, SampleSkip: 3_000,
+			})
+			if err != nil {
+				t.Logf("seed %d config %d (sampled): %v", seed, i, err)
+				return false
+			}
 			if !res.Sampled || res.Sample == nil {
-				t.Logf("seed %d config %d: sampled lockstep result lacks SampleStats", seed, i)
+				t.Logf("seed %d config %d: sampled result lacks SampleStats", seed, i)
 				return false
 			}
 			if !strings.Contains(res.Fallback, "sampled run") {
-				t.Logf("seed %d config %d: dependence fallback not reported per config: %q", seed, i, res.Fallback)
+				t.Logf("seed %d config %d: dependence fallback not reported: %q", seed, i, res.Fallback)
 				return false
 			}
 			st := res.Sample

@@ -142,6 +142,17 @@ func (m MachineSpec) resolve() (uarch.Config, error) {
 	return cfg, nil
 }
 
+// pointConfig resolves one (width, depth, rob) grid point on base's
+// predictor, value predictor and fetch rate — the processor cmd/sweep
+// simulates at the same point.
+func pointConfig(base uarch.Config, width, depth, rob int) uarch.Config {
+	cfg := experiments.Point(width, depth, rob)
+	cfg.Pred = base.Pred
+	cfg.VPred = base.VPred
+	cfg.FetchRate = base.FetchRate
+	return cfg
+}
+
 // SimulateRequest asks for one cycle-level simulation. Exactly one of
 // Benchmark (a suite name) or Workload (an inline generator config) selects
 // the program.

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"intervalsim/internal/core"
-	"intervalsim/internal/experiments"
 	"intervalsim/internal/overlay"
 	"intervalsim/internal/trace"
 	"intervalsim/internal/uarch"
@@ -42,17 +41,12 @@ type BatchRequest struct {
 	// point, as in MachineSpec; rejected at admission when invalid.
 	VPred     string  `json:"vpred,omitempty"`
 	FetchRate float64 `json:"fetchrate,omitempty"`
-	Mode      string  `json:"mode,omitempty"` // "sim" (default), "lockstep", "sampled", or "model"
+	Mode      string  `json:"mode,omitempty"` // "sim" (default), "sampled", or "model"
 	// Decompose adds the interval penalty decomposition (frontend, drain,
-	// FU, short-data, long-data) to each sim- or lockstep-mode point — the
-	// columns cmd/sweep's CSV carries. It costs one mispredict-penalty
+	// FU, short-data, long-data) to each sim-mode point — the columns
+	// cmd/sweep's CSV carries. It costs one mispredict-penalty
 	// decomposition pass per point.
 	Decompose bool `json:"decompose,omitempty"`
-	// LockstepK is the number of configurations advanced per lockstep set
-	// (lockstep mode only; <= 0 means 8). The batch's points are chunked in
-	// request order into sets of this size, each set simulated in one pass
-	// over the shared trace via uarch.SimulateMany.
-	LockstepK int `json:"lockstep_k,omitempty"`
 	// SampleDetailed/SampleSkip are the systematic-sampling phase lengths
 	// (sampled mode only; both must be positive): simulate SampleDetailed
 	// instructions cycle-accurately, functionally warm SampleSkip, repeat.
@@ -100,9 +94,8 @@ type BatchPoint struct {
 
 	Path string `json:"path,omitempty"`
 	// Fallback is this point's own fast-path bypass provenance
-	// (uarch.Result.Fallback) — per config even in lockstep mode, where one
-	// set member can fall back (e.g. a divergent speculation fingerprint)
-	// while its siblings replay the overlay.
+	// (uarch.Result.Fallback), e.g. a divergent speculation fingerprint that
+	// forced live simulation instead of overlay replay.
 	Fallback string `json:"fallback,omitempty"`
 	Error    string `json:"error,omitempty"`
 	Outcome  string `json:"outcome,omitempty"`
@@ -123,7 +116,6 @@ type batchInputs struct {
 	simInputs
 	mode           string
 	decompose      bool
-	lockstepK      int
 	sampleDetailed uint64
 	sampleSkip     uint64
 	specs          []BatchPointSpec
@@ -152,22 +144,21 @@ func (s *Server) resolveBatch(req *BatchRequest) (batchInputs, error) {
 		if sp.Width <= 0 || sp.Depth <= 0 || sp.ROB <= 0 {
 			return batchInputs{}, fmt.Errorf("%w: point seq %d has non-positive knobs", errBadRequest, sp.Seq)
 		}
+		if err := pointConfig(in.cfg, sp.Width, sp.Depth, sp.ROB).Validate(); err != nil {
+			return batchInputs{}, fmt.Errorf("%w: point seq %d: %v", errBadRequest, sp.Seq, err)
+		}
 	}
 	in.mode = req.Mode
 	if in.mode == "" {
 		in.mode = "sim"
 	}
 	switch in.mode {
-	case "sim", "lockstep", "sampled", "model":
+	case "sim", "sampled", "model":
 	default:
-		return batchInputs{}, fmt.Errorf("%w: unknown mode %q (want sim, lockstep, sampled or model)", errBadRequest, in.mode)
+		return batchInputs{}, fmt.Errorf("%w: unknown mode %q (want sim, sampled or model)", errBadRequest, in.mode)
 	}
-	if in.decompose && in.mode != "sim" && in.mode != "lockstep" {
-		return batchInputs{}, fmt.Errorf("%w: decompose requires sim or lockstep mode", errBadRequest)
-	}
-	in.lockstepK = req.LockstepK
-	if in.lockstepK <= 0 {
-		in.lockstepK = 8
+	if in.decompose && in.mode != "sim" {
+		return batchInputs{}, fmt.Errorf("%w: decompose requires sim mode", errBadRequest)
 	}
 	in.sampleDetailed, in.sampleSkip = req.SampleDetailed, req.SampleSkip
 	if in.mode == "sampled" && (in.sampleDetailed == 0 || in.sampleSkip == 0) {
@@ -246,16 +237,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}()
 
 	go func() {
-		if in.mode == "lockstep" {
-			s.submitLockstepSets(r, tr, soa, ov, in, lines, &wg)
-			return
-		}
 		for _, sp := range in.specs {
-			sp := sp
-			cfg := experiments.Point(sp.Width, sp.Depth, sp.ROB)
-			cfg.Pred = in.cfg.Pred
-			cfg.VPred = in.cfg.VPred
-			cfg.FetchRate = in.cfg.FetchRate
+			cfg := pointConfig(in.cfg, sp.Width, sp.Depth, sp.ROB)
 			line := BatchPoint{Seq: sp.Seq, Width: sp.Width, Depth: sp.Depth, ROB: sp.ROB}
 			t := &task{
 				name:    fmt.Sprintf("batch-%s-%s", in.wc.Name, cfg.Name),
@@ -333,18 +316,12 @@ func (s *Server) simBatchPoint(ctx context.Context, tr *trace.Trace, soa *trace.
 	if err != nil {
 		return err
 	}
-	return fillSimPoint(tr, res, in.decompose, line)
-}
-
-// fillSimPoint renders one simulated result into its batch line — shared by
-// the per-point sim path and the lockstep path, so their rows are identical.
-func fillSimPoint(tr *trace.Trace, res *uarch.Result, decompose bool, line *BatchPoint) error {
 	line.IPC = res.IPC()
 	line.Cycles = res.Cycles
 	line.Path = res.Path
 	line.Fallback = res.Fallback
 	line.AvgPenalty = res.AvgMispredictPenalty()
-	if decompose {
+	if in.decompose {
 		dec, err := core.NewDecomposer(tr, res)
 		if err != nil {
 			return err
@@ -356,77 +333,6 @@ func fillSimPoint(tr *trace.Trace, res *uarch.Result, decompose bool, line *Batc
 		line.PenFU = m.FULatency
 		line.PenShortD = m.ShortDMiss
 		line.PenLongD = m.LongDMiss
-	}
-	return nil
-}
-
-// submitLockstepSets chunks a lockstep batch's points in request order into
-// K-sets and submits one pool task per set. Each set is one SimulateMany pass
-// over the shared trace; its results fill the same fields simBatchPoint
-// would, per point, including each config's own fallback provenance. A set
-// member failing (bad config, watchdog) fails the whole set — every member
-// then reports the error, matching SimulateMany's all-or-nothing contract.
-func (s *Server) submitLockstepSets(r *http.Request, tr *trace.Trace, soa *trace.SoA, ov *overlay.Overlay, in batchInputs, lines chan<- BatchPoint, wg *sync.WaitGroup) {
-	for start := 0; start < len(in.specs); start += in.lockstepK {
-		set := in.specs[start:min(start+in.lockstepK, len(in.specs))]
-		cfgs := make([]uarch.Config, len(set))
-		pts := make([]BatchPoint, len(set))
-		for i, sp := range set {
-			cfgs[i] = experiments.Point(sp.Width, sp.Depth, sp.ROB)
-			cfgs[i].Pred = in.cfg.Pred
-			cfgs[i].VPred = in.cfg.VPred
-			cfgs[i].FetchRate = in.cfg.FetchRate
-			pts[i] = BatchPoint{Seq: sp.Seq, Width: sp.Width, Depth: sp.Depth, ROB: sp.ROB}
-		}
-		emitAll := func(err error, outcome string) {
-			for i, sp := range set {
-				if err != nil {
-					lines <- BatchPoint{
-						Seq: sp.Seq, Width: sp.Width, Depth: sp.Depth, ROB: sp.ROB,
-						Error: err.Error(), Outcome: outcome,
-					}
-				} else {
-					lines <- pts[i]
-				}
-				wg.Done()
-			}
-		}
-		t := &task{
-			name:    fmt.Sprintf("batch-%s-lockstep-%s", in.wc.Name, cfgs[0].Name),
-			timeout: in.timeout,
-			parent:  r.Context(),
-			run: func(ctx context.Context) error {
-				return s.lockstepBatchSet(ctx, tr, soa, ov, cfgs, in, pts)
-			},
-			finish: func(err error, d time.Duration) {
-				outcome := classify(err)
-				s.metrics.observe(outcome, d)
-				emitAll(err, outcome)
-			},
-		}
-		if err := s.pool.SubmitWait(r.Context(), t); err != nil {
-			s.metrics.count(classify(err))
-			emitAll(err, classify(err))
-		}
-	}
-}
-
-// lockstepBatchSet runs one K-set of design points in lockstep and fills
-// their batch lines — the same values, per point, that the per-point sim
-// path produces (pinned by TestBatchLockstepMatchesSim).
-func (s *Server) lockstepBatchSet(ctx context.Context, tr *trace.Trace, soa *trace.SoA, ov *overlay.Overlay, cfgs []uarch.Config, in batchInputs, pts []BatchPoint) error {
-	results, err := uarch.SimulateMany(ctx, soa, ov, cfgs, uarch.Options{
-		RecordMispredicts: true,
-		RecordLoadLevels:  in.decompose,
-		WarmupInsts:       in.warmup,
-	})
-	if err != nil {
-		return err
-	}
-	for i, res := range results {
-		if err := fillSimPoint(tr, res, in.decompose, &pts[i]); err != nil {
-			return err
-		}
 	}
 	return nil
 }

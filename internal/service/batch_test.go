@@ -140,78 +140,6 @@ func TestBatchModelMode(t *testing.T) {
 	}
 }
 
-// TestBatchLockstepMatchesSim pins the lockstep shard contract: a lockstep
-// batch returns, per point, exactly the values the per-point sim path
-// returns — measurements, decomposition, path, and each config's own
-// fallback provenance — for set sizes that do and do not divide the batch.
-func TestBatchLockstepMatchesSim(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 2})
-
-	specs := []BatchPointSpec{
-		{Seq: 0, Width: 2, Depth: 3, ROB: 64},
-		{Seq: 1, Width: 4, Depth: 7, ROB: 128},
-		{Seq: 2, Width: 8, Depth: 11, ROB: 256},
-		{Seq: 3, Width: 4, Depth: 3, ROB: 96},
-		{Seq: 4, Width: 2, Depth: 7, ROB: 192},
-	}
-	req := BatchRequest{Benchmark: "gzip", Insts: 20_000, Warmup: 4_000, Decompose: true, Points: specs}
-	collect := func(req BatchRequest) map[int]BatchPoint {
-		points, trailer := readBatch(t, postJSON(t, ts.URL+"/v1/batch", req))
-		if trailer.OK != len(specs) || trailer.Failed != 0 {
-			t.Fatalf("mode %q trailer = %+v, want %d ok", req.Mode, trailer, len(specs))
-		}
-		bySeq := make(map[int]BatchPoint, len(points))
-		for _, pt := range points {
-			bySeq[pt.Seq] = pt
-		}
-		return bySeq
-	}
-
-	sim := collect(req)
-	for _, k := range []int{2, 3, 5} {
-		lreq := req
-		lreq.Mode, lreq.LockstepK = "lockstep", k
-		lockstep := collect(lreq)
-		for seq, want := range sim {
-			if got := lockstep[seq]; got != want {
-				t.Errorf("lockstep_k %d seq %d = %+v, want sim point %+v", k, seq, got, want)
-			}
-		}
-	}
-	for seq, pt := range sim {
-		if pt.Path != "soa+overlay" || pt.Fallback != "" {
-			t.Errorf("seq %d path/fallback = %q/%q, want clean overlay replay", seq, pt.Path, pt.Fallback)
-		}
-	}
-}
-
-// TestBatchLockstepSetFailsTogether pins the all-or-nothing set contract at
-// the service: when a lockstep set dies (here: per-point timeout), every
-// member of the set reports the error — no partial sets.
-func TestBatchLockstepSetFailsTogether(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 2})
-
-	points, trailer := readBatch(t, postJSON(t, ts.URL+"/v1/batch", BatchRequest{
-		Benchmark: "mcf",
-		Insts:     5_000_000,
-		Mode:      "lockstep",
-		LockstepK: 2,
-		TimeoutMS: 1, // far below the work
-		Points: []BatchPointSpec{
-			{Seq: 0, Width: 4, Depth: 7, ROB: 128},
-			{Seq: 1, Width: 4, Depth: 7, ROB: 256},
-		},
-	}))
-	if trailer.Failed != 2 || trailer.OK != 0 {
-		t.Fatalf("trailer = %+v, want the whole set failed", trailer)
-	}
-	for _, pt := range points {
-		if pt.Error == "" || pt.Outcome != outcomeTimeout {
-			t.Errorf("point %+v, want a timeout error line", pt)
-		}
-	}
-}
-
 // TestBatchSampledCarriesCI: sampled batch points carry the ratio-estimator
 // CPI interval and the per-point fallback provenance explaining that replay
 // was bypassed — the CI fields a distributed sampled sweep's CSV is built
@@ -252,24 +180,49 @@ func TestBatchSampledCarriesCI(t *testing.T) {
 	}
 }
 
-// TestBatchValidation: malformed batches are rejected up front.
+// TestBatchValidation: malformed batches are rejected up front, and so is
+// every machine too large to build — on /v1/batch and on the other surfaces
+// that accept machine knobs — without taking the daemon down.
 func TestBatchValidation(t *testing.T) {
-	_, ts := newTestServer(t, Options{})
+	// The store enables /v1/sweepjobs.
+	s, ts := newTestServer(t, Options{Store: openTestStore(t, t.TempDir())})
+	waitReady(t, s)
 
+	huge := uarch.Baseline()
+	huge.Pred.Entries = 1 << 30
+	hugeConfig, err := json.Marshal(SimulateRequest{Benchmark: "gzip", Machine: MachineSpec{Config: &huge}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name string
+		path string // default /v1/batch
 		body string
 	}{
-		{"no points", `{"benchmark":"gzip"}`},
-		{"bad knobs", `{"benchmark":"gzip","points":[{"seq":0,"width":0,"depth":3,"rob":64}]}`},
-		{"decompose model", `{"benchmark":"gzip","mode":"model","decompose":true,"points":[{"seq":0,"width":2,"depth":3,"rob":64}]}`},
-		{"decompose sampled", `{"benchmark":"gzip","mode":"sampled","decompose":true,"sample_detailed":1000,"sample_skip":4000,"points":[{"seq":0,"width":2,"depth":3,"rob":64}]}`},
-		{"bad mode", `{"benchmark":"gzip","mode":"oracular","points":[{"seq":0,"width":2,"depth":3,"rob":64}]}`},
-		{"sampled without phases", `{"benchmark":"gzip","mode":"sampled","points":[{"seq":0,"width":2,"depth":3,"rob":64}]}`},
-		{"unknown benchmark", `{"benchmark":"doom","points":[{"seq":0,"width":2,"depth":3,"rob":64}]}`},
+		{"no points", "", `{"benchmark":"gzip"}`},
+		{"bad knobs", "", `{"benchmark":"gzip","points":[{"seq":0,"width":0,"depth":3,"rob":64}]}`},
+		{"decompose model", "", `{"benchmark":"gzip","mode":"model","decompose":true,"points":[{"seq":0,"width":2,"depth":3,"rob":64}]}`},
+		{"decompose sampled", "", `{"benchmark":"gzip","mode":"sampled","decompose":true,"sample_detailed":1000,"sample_skip":4000,"points":[{"seq":0,"width":2,"depth":3,"rob":64}]}`},
+		{"bad mode", "", `{"benchmark":"gzip","mode":"oracular","points":[{"seq":0,"width":2,"depth":3,"rob":64}]}`},
+		{"lockstep is no longer a mode", "", `{"benchmark":"gzip","mode":"lockstep","points":[{"seq":0,"width":2,"depth":3,"rob":64}]}`},
+		{"sampled without phases", "", `{"benchmark":"gzip","mode":"sampled","points":[{"seq":0,"width":2,"depth":3,"rob":64}]}`},
+		{"unknown benchmark", "", `{"benchmark":"doom","points":[{"seq":0,"width":2,"depth":3,"rob":64}]}`},
+		{"rob over ceiling", "", `{"benchmark":"gzip","points":[{"seq":0,"width":4,"depth":7,"rob":1073741824}]}`},
+		{"rob over ceiling in model mode", "", `{"benchmark":"gzip","mode":"model","points":[{"seq":0,"width":4,"depth":7,"rob":1073741824}]}`},
+		{"rob too small for an issue queue", "", `{"benchmark":"gzip","points":[{"seq":0,"width":4,"depth":7,"rob":1}]}`},
+		{"simulate rob over ceiling", "/v1/simulate", `{"benchmark":"gzip","machine":{"rob":1073741824}}`},
+		{"simulate predictor over ceiling", "/v1/simulate", string(hugeConfig)},
+		{"model rob over ceiling", "/v1/model", `{"benchmark":"gzip","machine":{"rob":1073741824}}`},
+		{"sweep rob axis over ceiling", "/v1/sweep", `{"benchmark":"gzip","robs":[64,1073741824]}`},
+		{"sweep job rob axis over ceiling", "/v1/sweepjobs", `{"benchmark":"gzip","mode":"model","robs":[1073741824]}`},
+		{"sweep rob axis too small", "/v1/sweep", `{"benchmark":"gzip","robs":[1]}`},
 	}
 	for _, tc := range cases {
-		resp, err := http.Post(ts.URL+"/v1/batch", "application/json", strings.NewReader(tc.body))
+		path := tc.path
+		if path == "" {
+			path = "/v1/batch"
+		}
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(tc.body))
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -277,6 +230,9 @@ func TestBatchValidation(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", tc.name, resp.StatusCode)
 		}
+	}
+	if resp := mustGet(t, ts.URL+"/healthz"); resp.StatusCode != http.StatusOK {
+		t.Errorf("/healthz after the oversized requests = %d, want 200", resp.StatusCode)
 	}
 }
 

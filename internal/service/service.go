@@ -673,12 +673,19 @@ func (s *Server) resolveSweep(req *SweepRequest) (sweepInputs, error) {
 	if n := len(in.widths) * len(in.depths) * len(in.robs); n > s.opts.MaxSweepPoints {
 		return sweepInputs{}, fmt.Errorf("%w: %d points exceeds the %d-point cap", errBadRequest, n, s.opts.MaxSweepPoints)
 	}
+	for _, width := range in.widths {
+		for _, depth := range in.depths {
+			for _, rob := range in.robs {
+				if err := pointConfig(in.cfg, width, depth, rob).Validate(); err != nil {
+					return sweepInputs{}, fmt.Errorf("%w: %v", errBadRequest, err)
+				}
+			}
+		}
+	}
 	in.mode = req.Mode
 	if in.mode == "" {
 		in.mode = "sim"
 	}
-	// Lockstep is a batch-API (shard-dispatch) mode: grid sweeps reach it
-	// through /v1/batch via the cluster coordinator, not through /v1/sweep.
 	if in.mode != "sim" && in.mode != "sampled" && in.mode != "model" {
 		return sweepInputs{}, fmt.Errorf("%w: unknown mode %q (want sim, sampled or model)", errBadRequest, in.mode)
 	}
@@ -780,10 +787,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	go func() {
 		for _, pt := range points {
 			pt := pt
-			cfg := experiments.Point(pt.width, pt.depth, pt.rob)
-			cfg.Pred = in.cfg.Pred
-			cfg.VPred = in.cfg.VPred
-			cfg.FetchRate = in.cfg.FetchRate
+			cfg := pointConfig(in.cfg, pt.width, pt.depth, pt.rob)
 			line := SweepPoint{Seq: pt.seq, Width: pt.width, Depth: pt.depth, ROB: pt.rob}
 			t := &task{
 				name:     fmt.Sprintf("sweep-%s-%s", in.wc.Name, cfg.Name),

@@ -415,7 +415,7 @@ func TestSweepModelMode(t *testing.T) {
 
 // TestSweepSampledMode: a sampled sweep streams the ratio-estimator CPI
 // interval per point, never computes an overlay, and rejects requests
-// without the sampling phase lengths. Lockstep stays a batch-API mode.
+// without the sampling phase lengths or with an unknown mode.
 func TestSweepSampledMode(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 2})
 
@@ -452,7 +452,7 @@ func TestSweepSampledMode(t *testing.T) {
 
 	for name, body := range map[string]SweepRequest{
 		"sampled without phases": {Benchmark: "vpr", Insts: 60_000, Mode: "sampled"},
-		"lockstep not a sweep mode": {Benchmark: "vpr", Insts: 60_000, Mode: "lockstep"},
+		"unknown mode":           {Benchmark: "vpr", Insts: 60_000, Mode: "oracular"},
 	} {
 		resp := postJSON(t, ts.URL+"/v1/sweep", body)
 		resp.Body.Close()

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"intervalsim/internal/core"
-	"intervalsim/internal/experiments"
 	"intervalsim/internal/overlay"
 	"intervalsim/internal/store"
 	"intervalsim/internal/workload"
@@ -327,10 +326,7 @@ func (s *Server) runSweepJob(id string, j *store.Log, spec sweepJobSpec, in swee
 	wg.Add(len(todo))
 	for _, pt := range todo {
 		pt := pt
-		cfg := experiments.Point(pt.width, pt.depth, pt.rob)
-		cfg.Pred = in.cfg.Pred
-		cfg.VPred = in.cfg.VPred
-		cfg.FetchRate = in.cfg.FetchRate
+		cfg := pointConfig(in.cfg, pt.width, pt.depth, pt.rob)
 		line := SweepPoint{Seq: pt.seq, Width: pt.width, Depth: pt.depth, ROB: pt.rob}
 		t := &task{
 			name:     fmt.Sprintf("sweepjob-%s-%d", id, pt.seq),

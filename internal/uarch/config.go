@@ -109,20 +109,35 @@ type Config struct {
 	FetchRate float64 `json:"FetchRate,omitempty"`
 }
 
+// Size ceilings Validate enforces before anything is allocated. Each sits
+// far above every preset and experiment, so only a malformed request can
+// reach one; below them a configuration's tables stay small enough that
+// building it cannot exhaust memory.
+const (
+	maxWindow       = 65536   // ROB and issue-queue entries
+	maxWidth        = 1024    // pipeline widths, FU counts, frontend depth
+	maxTableEntries = 1 << 20 // branch/value predictor and BTB entries
+	maxCacheBytes   = 1 << 24 // capacity of one cache level
+)
+
 // Validate reports the first configuration problem, if any. Every error
 // wraps ErrBadConfig, so harnesses can classify it as permanent.
 func (c Config) Validate() error {
 	for _, f := range []struct {
 		name string
 		v    int
+		max  int
 	}{
-		{"FetchWidth", c.FetchWidth}, {"DispatchWidth", c.DispatchWidth},
-		{"IssueWidth", c.IssueWidth}, {"CommitWidth", c.CommitWidth},
-		{"FrontendDepth", c.FrontendDepth}, {"ROBSize", c.ROBSize},
-		{"IQSize", c.IQSize},
+		{"FetchWidth", c.FetchWidth, maxWidth}, {"DispatchWidth", c.DispatchWidth, maxWidth},
+		{"IssueWidth", c.IssueWidth, maxWidth}, {"CommitWidth", c.CommitWidth, maxWidth},
+		{"FrontendDepth", c.FrontendDepth, maxWidth}, {"ROBSize", c.ROBSize, maxWindow},
+		{"IQSize", c.IQSize, maxWindow},
 	} {
 		if f.v <= 0 {
 			return fmt.Errorf("%w: %s: %s must be positive", ErrBadConfig, c.Name, f.name)
+		}
+		if f.v > f.max {
+			return fmt.Errorf("%w: %s: %s %d exceeds the ceiling %d", ErrBadConfig, c.Name, f.name, f.v, f.max)
 		}
 	}
 	if c.IQSize > c.ROBSize {
@@ -139,6 +154,29 @@ func (c Config) Validate() error {
 	for _, pl := range pools {
 		if pl.p.Count <= 0 || pl.p.Latency <= 0 {
 			return fmt.Errorf("%w: %s: FU pool %s needs positive count and latency", ErrBadConfig, c.Name, pl.name)
+		}
+		if pl.p.Count > maxWidth {
+			return fmt.Errorf("%w: %s: FU pool %s count %d exceeds the ceiling %d", ErrBadConfig, c.Name, pl.name, pl.p.Count, maxWidth)
+		}
+	}
+	vpEntries := 0
+	if c.VPred != nil {
+		vpEntries = c.VPred.Entries
+	}
+	for _, t := range []struct {
+		name string
+		v    int
+	}{
+		{"predictor Entries", c.Pred.Entries}, {"BTBEntries", c.Pred.BTBEntries},
+		{"value predictor Entries", vpEntries},
+	} {
+		if t.v > maxTableEntries {
+			return fmt.Errorf("%w: %s: %s %d exceeds the ceiling %d", ErrBadConfig, c.Name, t.name, t.v, maxTableEntries)
+		}
+	}
+	for _, cc := range []cache.Config{c.Mem.L1I, c.Mem.L1D, c.Mem.L2} {
+		if cc.Size > maxCacheBytes {
+			return fmt.Errorf("%w: %s: cache %s size %d exceeds the ceiling %d", ErrBadConfig, c.Name, cc.Name, cc.Size, maxCacheBytes)
 		}
 	}
 	if _, err := c.Pred.Build(); err != nil {

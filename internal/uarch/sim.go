@@ -203,10 +203,6 @@ type simulator struct {
 	lastCommitTick uint64
 	warm           *warmSnapshot
 
-	// Run-loop parameters resolved once by initRun so step() stays branchless
-	// on Options defaults.
-	noProgress uint64
-
 	// Sampling measurement units: one entry per completed detailed phase,
 	// recorded at the detailed→skip boundary. unitBase holds the statistics
 	// snapshot at the previous boundary, so each unit is a clean delta.
@@ -426,67 +422,39 @@ func (s *simulator) cacheStats() CacheStats {
 const ctxPollMask = 0x3ff
 
 func (s *simulator) run(ctx context.Context) (*Result, error) {
-	s.initRun()
+	noProgress := s.opts.NoProgressCycles
+	if noProgress == 0 {
+		noProgress = 1_000_000
+	}
 	for {
-		done, err := s.step(ctx)
+		more, err := s.moreInsts()
 		if err != nil {
 			return nil, err
 		}
-		if done {
+		if !more && s.fqLen == 0 && s.head == s.tail {
 			break
 		}
-	}
-	return s.finalize(), nil
-}
-
-// initRun resolves the run-loop parameters Options leaves defaulted. It must
-// be called once before the first step.
-func (s *simulator) initRun() {
-	s.noProgress = s.opts.NoProgressCycles
-	if s.noProgress == 0 {
-		s.noProgress = 1_000_000
-	}
-}
-
-// step advances the simulation by exactly one cycle (commit → issue →
-// dispatch → fetch, with the watchdog and cancellation checks of a full run)
-// and reports whether the run is complete. It is the unit the lockstep
-// driver interleaves: because a simulator's transition function reads only
-// its own state, any interleaving of step calls across simulators produces
-// the same per-simulator results as running each to completion serially.
-func (s *simulator) step(ctx context.Context) (bool, error) {
-	more, err := s.moreInsts()
-	if err != nil {
-		return false, err
-	}
-	if !more && s.fqLen == 0 && s.head == s.tail {
-		return true, nil
-	}
-	s.cycle++
-	s.commit()
-	s.issue()
-	s.dispatch()
-	if err := s.fetch(); err != nil {
-		return false, err
-	}
-	if s.opts.MaxCycles > 0 && s.cycle >= s.opts.MaxCycles {
-		return false, fmt.Errorf("%w: %s: cycle budget %d exhausted (%d insts committed)",
-			ErrWatchdog, s.cfg.Name, s.opts.MaxCycles, s.committed)
-	}
-	if s.cycle-s.lastCommitTick > s.noProgress {
-		return false, fmt.Errorf("%w: %s: no commit in %d cycles at cycle %d (likely a model deadlock)",
-			ErrWatchdog, s.cfg.Name, s.noProgress, s.cycle)
-	}
-	if s.cycle&ctxPollMask == 0 {
-		if err := ctx.Err(); err != nil {
-			return false, fmt.Errorf("%w: %s: at cycle %d: %v", ErrCanceled, s.cfg.Name, s.cycle, err)
+		s.cycle++
+		s.commit()
+		s.issue()
+		s.dispatch()
+		if err := s.fetch(); err != nil {
+			return nil, err
+		}
+		if s.opts.MaxCycles > 0 && s.cycle >= s.opts.MaxCycles {
+			return nil, fmt.Errorf("%w: %s: cycle budget %d exhausted (%d insts committed)",
+				ErrWatchdog, s.cfg.Name, s.opts.MaxCycles, s.committed)
+		}
+		if s.cycle-s.lastCommitTick > noProgress {
+			return nil, fmt.Errorf("%w: %s: no commit in %d cycles at cycle %d (likely a model deadlock)",
+				ErrWatchdog, s.cfg.Name, noProgress, s.cycle)
+		}
+		if s.cycle&ctxPollMask == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, fmt.Errorf("%w: %s: at cycle %d: %v", ErrCanceled, s.cfg.Name, s.cycle, err)
+			}
 		}
 	}
-	return false, nil
-}
-
-// finalize assembles the Result after the last step reported completion.
-func (s *simulator) finalize() *Result {
 	s.res.Insts = s.committed
 	s.res.Cycles = s.cycle
 	s.flushCounters()
@@ -494,7 +462,7 @@ func (s *simulator) finalize() *Result {
 	s.res.Caches = s.cacheStats()
 	s.subtractWarmup()
 	s.finishSampling()
-	return s.res
+	return s.res, nil
 }
 
 // flushCounters moves the batched statistics into the Result.

@@ -2,11 +2,13 @@ package uarch
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"intervalsim/internal/cache"
 	"intervalsim/internal/isa"
 	"intervalsim/internal/trace"
+	"intervalsim/internal/vpred"
 )
 
 // testConfig is a small machine with a perfect predictor and big-enough
@@ -68,12 +70,27 @@ func TestValidateConfig(t *testing.T) {
 		{"bad FU", func(c *Config) { c.FU.IntALU.Count = 0 }},
 		{"bad predictor", func(c *Config) { c.Pred.Kind = "psychic" }},
 		{"bad cache", func(c *Config) { c.Mem.L1D.Size = 77 }},
+		// Size ceilings: each mutation is otherwise a buildable machine.
+		{"ROB over ceiling", func(c *Config) { c.ROBSize = maxWindow * 2 }},
+		{"IQ over ceiling", func(c *Config) { c.ROBSize, c.IQSize = maxWindow, maxWindow+1 }},
+		{"width over ceiling", func(c *Config) { c.IssueWidth = maxWidth + 1 }},
+		{"depth over ceiling", func(c *Config) { c.FrontendDepth = maxWidth + 1 }},
+		{"FU count over ceiling", func(c *Config) { c.FU.MemPort.Count = maxWidth + 1 }},
+		{"predictor over ceiling", func(c *Config) { c.Pred.Entries = maxTableEntries * 2 }},
+		{"BTB over ceiling", func(c *Config) { c.Pred.BTBEntries = maxTableEntries * 2 }},
+		{"value predictor over ceiling", func(c *Config) {
+			c.VPred = &vpred.Config{Kind: "last-value", Entries: maxTableEntries * 2}
+		}},
+		{"cache over ceiling", func(c *Config) { c.Mem.L2.Size = maxCacheBytes * 2 }},
 	}
 	for _, m := range muts {
 		c := Baseline()
 		m.mut(&c)
-		if err := c.Validate(); err == nil {
-			t.Errorf("%s accepted", m.name)
+		err := c.Validate()
+		if !errors.Is(err, ErrBadConfig) {
+			t.Errorf("%s: Validate = %v, want ErrBadConfig", m.name, err)
+		} else if strings.Contains(m.name, "ceiling") && !strings.Contains(err.Error(), "ceiling") {
+			t.Errorf("%s: Validate = %v, want the ceiling named", m.name, err)
 		}
 	}
 }
