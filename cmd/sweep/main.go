@@ -25,16 +25,21 @@
 // overlay replay) and any fast-path fallbacks, so a sweep that silently
 // degraded to a slower path is visible.
 //
+// Every point runs through internal/engine, the design-point executor the
+// intervalsimd service also runs, and every row renders through
+// engine.CSVRow, the renderer -endpoints uses for daemon results.
+//
 // Usage:
 //
-//	sweep [-bench crafty] [-mode sim|sampled|model] [-insts N] [-warmup N] [-j N] [-timeout D] [-keep-going] > sweep.csv
+//	sweep [-bench crafty] [-mode sim|sampled|model] [-insts N] [-warmup N]
+//	      [-pred P] [-vpred V] [-fetchrate R] [-sample-detailed N] [-sample-skip N]
+//	      [-j N] [-timeout D] [-retries N] [-keep-going] [-endpoints host:port,...] > sweep.csv
 //
 // Exit codes: 0 success, 1 runtime error or failed points, 2 usage error.
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -47,7 +52,7 @@ import (
 
 	"intervalsim/internal/bpred"
 	"intervalsim/internal/cluster"
-	"intervalsim/internal/core"
+	"intervalsim/internal/engine"
 	"intervalsim/internal/experiments"
 	"intervalsim/internal/harness"
 	"intervalsim/internal/overlay"
@@ -100,10 +105,8 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "sweep: unknown benchmark %q\n", *bench)
 		return 2
 	}
-	switch *mode {
-	case "sim", "model", "sampled":
-	default:
-		fmt.Fprintf(stderr, "sweep: unknown mode %q (want sim, sampled or model)\n", *mode)
+	if err := engine.CheckMode(*mode); err != nil {
+		fmt.Fprintln(stderr, "sweep:", err)
 		return 2
 	}
 	if *insts <= 0 {
@@ -137,14 +140,17 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	params := sweepParams{
-		mode:           *mode,
-		insts:          *insts,
-		warmup:         *warmup,
-		pred:           *pred,
-		vpred:          *vpredName,
-		fetchRate:      *fetchRate,
-		sampleDetailed: *sampleDetailed,
-		sampleSkip:     *sampleSkip,
+		spec: engine.Spec{
+			Mode:           *mode,
+			Insts:          *insts,
+			Warmup:         *warmup,
+			Decompose:      *mode == engine.ModeSim,
+			SampleDetailed: *sampleDetailed,
+			SampleSkip:     *sampleSkip,
+		},
+		pred:      *pred,
+		vpred:     *vpredName,
+		fetchRate: *fetchRate,
 	}
 	if *endpoints != "" {
 		return runCluster(stdout, stderr, *endpoints, *bench, params, *timeout, *retries, *keepGoing)
@@ -162,16 +168,14 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// sweepParams bundles the engine selection of one sweep invocation.
+// sweepParams bundles the engine selection of one sweep invocation: the
+// executor spec (sim rows always carry the penalty decomposition) and the
+// speculation axes every grid point shares.
 type sweepParams struct {
-	mode           string
-	insts          int
-	warmup         uint64
-	pred           string  // predictor preset name; "" = baseline tournament
-	vpred          string  // value predictor preset name; "" = no value speculation
-	fetchRate      float64 // post-low-confidence-branch fetch rate; 0 = full
-	sampleDetailed uint64
-	sampleSkip     uint64
+	spec      engine.Spec
+	pred      string  // predictor preset name; "" = baseline tournament
+	vpred     string  // value predictor preset name; "" = no value speculation
+	fetchRate float64 // post-low-confidence-branch fetch rate; 0 = full
 }
 
 // runCluster delegates the sweep to a fleet of intervalsimd daemons through
@@ -185,22 +189,22 @@ func runCluster(stdout, stderr io.Writer, endpoints, bench string, p sweepParams
 			eps = append(eps, ep)
 		}
 	}
-	widths, depths, robs := gridAxes()
-	sink := cluster.NewCSVSink(stdout, p.mode, false)
+	widths, depths, robs := experiments.DefaultGrid()
+	sink := cluster.NewCSVSink(stdout, p.spec.Mode, false)
 	stats, runErr := cluster.Run(context.Background(), cluster.Options{
 		Endpoints:      eps,
 		Benches:        []string{bench},
 		Widths:         widths,
 		Depths:         depths,
 		ROBs:           robs,
-		Mode:           p.mode,
-		Insts:          p.insts,
-		Warmup:         p.warmup,
+		Mode:           p.spec.Mode,
+		Insts:          p.spec.Insts,
+		Warmup:         p.spec.Warmup,
 		Pred:           p.pred,
 		VPred:          p.vpred,
 		FetchRate:      p.fetchRate,
-		SampleDetailed: p.sampleDetailed,
-		SampleSkip:     p.sampleSkip,
+		SampleDetailed: p.spec.SampleDetailed,
+		SampleSkip:     p.spec.SampleSkip,
 		PointTimeout:   timeout,
 		Retries:        retries,
 		KeepGoing:      keepGoing,
@@ -221,15 +225,10 @@ func runCluster(stdout, stderr io.Writer, endpoints, bench string, p sweepParams
 	return 0
 }
 
-// gridAxes returns the swept (width, depth, rob) axes.
-func gridAxes() (widths, depths, robs []int) {
-	return []int{2, 4, 8}, []int{3, 7, 11}, []int{64, 128, 256}
-}
-
 // grid enumerates the design points in canonical (width, depth, rob) order —
 // the order CSV rows are emitted in, regardless of execution schedule.
 func grid() []uarch.Config {
-	widths, depths, robs := gridAxes()
+	widths, depths, robs := experiments.DefaultGrid()
 	var out []uarch.Config
 	for _, width := range widths {
 		for _, depth := range depths {
@@ -292,7 +291,7 @@ func run(ctx context.Context, stdout, stderr io.Writer, wc workload.Config, p sw
 	// Pack the trace once: every grid point reuses the struct-of-arrays
 	// layout and its precomputed dependence metadata (the simulator's
 	// index-based fast path), instead of re-decoding per configuration.
-	soa, err := trace.PackReader(workload.MustNew(wc, p.insts))
+	soa, err := trace.PackReader(workload.MustNew(wc, p.spec.Insts))
 	if err != nil {
 		return err
 	}
@@ -302,9 +301,7 @@ func run(ctx context.Context, stdout, stderr io.Writer, wc workload.Config, p sw
 	// geometry — so one miss-event overlay serves the whole sweep. A point
 	// whose speculation configuration diverges (e.g. via testPointHook) is
 	// caught by the simulator's fingerprint check and falls back to live
-	// simulation, which the path summary below makes visible. Sampled runs
-	// bypass replay by design (precomputed dependences do not apply), so
-	// that mode never computes the overlay at all.
+	// simulation, which the path summary below makes visible.
 	base := uarch.Baseline()
 	if p.pred != "" {
 		preset, ok := bpred.Preset(p.pred)
@@ -324,63 +321,38 @@ func run(ctx context.Context, stdout, stderr io.Writer, wc workload.Config, p sw
 		base.VPred = &preset
 	}
 	base.FetchRate = p.fetchRate
-	var ov *overlay.Overlay
-	if p.mode != "sampled" {
-		if ov, err = overlay.Shared.GetSpec(soa, base.Pred, base.Mem, base.VPred); err != nil {
-			return err
-		}
+	_, _, robs := experiments.DefaultGrid()
+	exec, err := engine.New(p.spec, base, robs[len(robs)-1], nil, soa, overlay.Shared.GetSpec)
+	if err != nil {
+		return err
 	}
 
 	points := grid()
-	for i := range points {
-		points[i].Pred = base.Pred
-		points[i].VPred = base.VPred
-		points[i].FetchRate = base.FetchRate
-	}
-	var headers []string
-	var point func(ctx context.Context, cfg uarch.Config) ([]string, error)
 	var tally pathTally
-
-	switch p.mode {
-	case "sim":
-		headers = []string{"width", "depth", "rob", "ipc", "avg_penalty",
-			"penalty_frontend", "penalty_drain", "penalty_fu", "penalty_shortd", "penalty_longd"}
-		tr := soa.Unpack() // AoS view for the decomposer
-		point = func(ctx context.Context, cfg uarch.Config) ([]string, error) {
-			return simPoint(ctx, soa, tr, ov, cfg, p.warmup, &tally)
-		}
-	case "sampled":
-		headers = []string{"width", "depth", "rob", "ipc",
-			"cpi", "cpi_lo", "cpi_hi", "cpi_rel_err", "units"}
-		point = func(ctx context.Context, cfg uarch.Config) ([]string, error) {
-			return sampledPoint(ctx, soa, cfg, p, &tally)
-		}
-	case "model":
-		headers = []string{"width", "depth", "rob", "ipc", "avg_penalty",
-			"cpi_base", "cpi_bpred", "cpi_icache", "cpi_longd"}
-		_, _, robs := gridAxes()
-		set, err := core.NewModelSet(soa, ov, base, robs[len(robs)-1], p.warmup, p.insts)
-		if err != nil {
-			return err
-		}
-		point = func(_ context.Context, cfg uarch.Config) ([]string, error) {
-			return modelPoint(set, cfg)
-		}
-	default:
-		return fmt.Errorf("unknown mode %q", p.mode)
-	}
 	jobs := make([]harness.Job[[]string], len(points))
 	for i, cfg := range points {
+		cfg.Pred = base.Pred
+		cfg.VPred = base.VPred
+		cfg.FetchRate = base.FetchRate
 		jobs[i] = harness.Job[[]string]{
 			Name: cfg.Name,
-			Run:  func(ctx context.Context) ([]string, error) { return point(ctx, cfg) },
+			Run: func(ctx context.Context) ([]string, error) {
+				res, err := exec.Run(ctx, cfg)
+				if err != nil {
+					return nil, err
+				}
+				if res.Sim != nil {
+					tally.note(res.Sim)
+				}
+				return engine.CSVRow(p.spec.Mode, cfg.DispatchWidth, cfg.FrontendDepth, cfg.ROBSize, res), nil
+			},
 		}
 	}
 
 	results, runErr := harness.Run(ctx, jobs, hopts)
 
 	// Fail-soft emission: every completed row, in grid order.
-	t := report.New("", headers...)
+	t := report.New("", engine.CSVHeader(p.spec.Mode)...)
 	for _, r := range results {
 		if r.Err == nil {
 			t.AddRow(r.Value...)
@@ -395,116 +367,4 @@ func run(ctx context.Context, stdout, stderr io.Writer, wc workload.Config, p sw
 		fmt.Fprintf(stderr, "sweep: overlay cache: %d hits, %d misses\n", hits, misses)
 	}
 	return runErr
-}
-
-// simPoint simulates one design point and renders its CSV row: IPC plus the
-// mean misprediction-penalty decomposition. Each point gets a fresh reader
-// over the shared packed trace; the SoA itself is read-only during
-// simulation, so concurrent points are safe.
-func simPoint(ctx context.Context, soa *trace.SoA, tr *trace.Trace, ov *overlay.Overlay, cfg uarch.Config, warmup uint64, tally *pathTally) ([]string, error) {
-	res, err := uarch.RunContext(ctx, soa.Reader(), cfg, uarch.Options{
-		RecordMispredicts: true,
-		RecordLoadLevels:  true,
-		WarmupInsts:       warmup,
-		Overlay:           ov,
-	})
-	if err != nil {
-		// Invalid configurations and watchdog trips are deterministic:
-		// re-running them wastes the retry budget.
-		if errors.Is(err, uarch.ErrBadConfig) || errors.Is(err, uarch.ErrWatchdog) {
-			return nil, harness.Permanent(err)
-		}
-		return nil, err
-	}
-	tally.note(res)
-	dec, err := core.NewDecomposer(tr, res)
-	if err != nil {
-		return nil, harness.Permanent(err)
-	}
-	m := core.Mean(dec.DecomposeAll())
-	return []string{
-		fmt.Sprintf("%d", cfg.DispatchWidth), fmt.Sprintf("%d", cfg.FrontendDepth), fmt.Sprintf("%d", cfg.ROBSize),
-		fmt.Sprintf("%.3f", res.IPC()),
-		fmt.Sprintf("%.2f", m.Total),
-		fmt.Sprintf("%.2f", m.Frontend),
-		fmt.Sprintf("%.2f", m.BaseILP),
-		fmt.Sprintf("%.2f", m.FULatency),
-		fmt.Sprintf("%.2f", m.ShortDMiss),
-		fmt.Sprintf("%.2f", m.LongDMiss),
-	}, nil
-}
-
-// sampledPoint runs one design point under systematic sampling and renders
-// the CPI confidence-interval row. The warmup budget becomes the initial
-// functional skip; no overlay is involved (sampled runs track dependences
-// live by design).
-func sampledPoint(ctx context.Context, soa *trace.SoA, cfg uarch.Config, p sweepParams, tally *pathTally) ([]string, error) {
-	res, err := uarch.RunContext(ctx, soa.Reader(), cfg, uarch.Options{
-		SampleStartSkip: p.warmup,
-		SampleDetailed:  p.sampleDetailed,
-		SampleSkip:      p.sampleSkip,
-	})
-	if err != nil {
-		if errors.Is(err, uarch.ErrBadConfig) || errors.Is(err, uarch.ErrWatchdog) {
-			return nil, harness.Permanent(err)
-		}
-		return nil, err
-	}
-	tally.note(res)
-	st := res.Sample
-	if st == nil {
-		return nil, harness.Permanent(fmt.Errorf("%s: sampled run carries no sample statistics", cfg.Name))
-	}
-	return []string{
-		fmt.Sprintf("%d", cfg.DispatchWidth), fmt.Sprintf("%d", cfg.FrontendDepth), fmt.Sprintf("%d", cfg.ROBSize),
-		fmt.Sprintf("%.3f", res.IPC()),
-		fmt.Sprintf("%.4f", st.CPI.Mean),
-		fmt.Sprintf("%.4f", st.CPI.Lower),
-		fmt.Sprintf("%.4f", st.CPI.Upper),
-		fmt.Sprintf("%.4f", st.CPI.RelErr),
-		fmt.Sprintf("%d", st.Units),
-	}, nil
-}
-
-// modelPoint evaluates the analytic interval model at one design point: the
-// shared-characteristic model plus the overlay-derived functional profile,
-// no cycle-level simulation. Model errors are deterministic, so they never
-// consume the retry budget.
-func modelPoint(set *core.ModelSet, cfg uarch.Config) ([]string, error) {
-	m, prof, err := set.For(cfg)
-	if err != nil {
-		return nil, harness.Permanent(err)
-	}
-	pred, err := m.PredictCPI(prof)
-	if err != nil {
-		return nil, harness.Permanent(err)
-	}
-	ivs, err := core.Segment(prof.Events, prof.Insts)
-	if err != nil {
-		return nil, harness.Permanent(err)
-	}
-	var pen, n float64
-	for _, iv := range ivs {
-		if !iv.Final && iv.Kind == uarch.EvBranchMispredict {
-			pen += m.MispredictPenalty(iv.Len() - 1)
-			n++
-		}
-	}
-	if n > 0 {
-		pen /= n
-	}
-	insts := float64(pred.Insts)
-	ipc := 0.0
-	if cpi := pred.CPI(); cpi > 0 {
-		ipc = 1 / cpi
-	}
-	return []string{
-		fmt.Sprintf("%d", cfg.DispatchWidth), fmt.Sprintf("%d", cfg.FrontendDepth), fmt.Sprintf("%d", cfg.ROBSize),
-		fmt.Sprintf("%.3f", ipc),
-		fmt.Sprintf("%.2f", pen),
-		fmt.Sprintf("%.3f", pred.Base/insts),
-		fmt.Sprintf("%.3f", pred.Bpred/insts),
-		fmt.Sprintf("%.3f", pred.ICache/insts),
-		fmt.Sprintf("%.3f", pred.LongData/insts),
-	}, nil
 }

@@ -34,6 +34,7 @@ import (
 
 	"intervalsim/internal/bpred"
 	"intervalsim/internal/cluster"
+	"intervalsim/internal/experiments"
 	"intervalsim/internal/version"
 	"intervalsim/internal/vpred"
 	"intervalsim/internal/workload"
@@ -65,6 +66,15 @@ func splitInts(s string) ([]int, error) {
 	return out, nil
 }
 
+// joinInts renders an axis as a flag default.
+func joinInts(vs []int) string {
+	parts := make([]string, len(vs))
+	for i, v := range vs {
+		parts[i] = strconv.Itoa(v)
+	}
+	return strings.Join(parts, ",")
+}
+
 func realMain(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("sweepctl", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -76,9 +86,10 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	pred := fs.String("pred", "", "branch predictor preset for every grid point (e.g. tage, 2bc-gskew; empty = baseline tournament)")
 	vpredName := fs.String("vpred", "", "value predictor preset for every grid point (e.g. last-value, stride, fcm; empty = no value speculation)")
 	fetchRate := fs.Float64("fetchrate", 0, "fetch rate after low-confidence branches, in (0, 1] (0 = full rate)")
-	widths := fs.String("widths", "2,4,8", "dispatch-width axis")
-	depths := fs.String("depths", "3,7,11", "frontend-depth axis")
-	robs := fs.String("robs", "64,128,256", "ROB-size axis")
+	defWidths, defDepths, defROBs := experiments.DefaultGrid()
+	widths := fs.String("widths", joinInts(defWidths), "dispatch-width axis")
+	depths := fs.String("depths", joinInts(defDepths), "frontend-depth axis")
+	robs := fs.String("robs", joinInts(defROBs), "ROB-size axis")
 	batch := fs.Int("batch", 0, "design points per dispatched shard (0 = auto)")
 	timeout := fs.Duration("timeout", 0, "wall-clock deadline per design point on the daemon (0 = none)")
 	retries := fs.Int("retries", 1, "dispatch retries per batch per node before handing it back to the fleet")
@@ -119,6 +130,14 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	}
 	if *mode != "sim" && *mode != "model" {
 		fmt.Fprintf(stderr, "sweepctl: unknown mode %q (want sim or model)\n", *mode)
+		return 2
+	}
+	if *insts <= 0 {
+		fmt.Fprintf(stderr, "sweepctl: -insts must be positive, got %d\n", *insts)
+		return 2
+	}
+	if *warmup >= uint64(*insts) {
+		fmt.Fprintf(stderr, "sweepctl: -warmup %d must be less than -insts %d\n", *warmup, *insts)
 		return 2
 	}
 	if *format != "csv" && *format != "ndjson" {

@@ -61,12 +61,15 @@ func TestDryRunPrintsPlanWithoutDispatching(t *testing.T) {
 
 func TestUsageErrors(t *testing.T) {
 	cases := [][]string{
-		{},                                        // no endpoints
-		{"-endpoints", "a", "-bench", "doom"},     // unknown benchmark
-		{"-endpoints", "a", "-mode", "oracular"},  // bad mode
-		{"-endpoints", "a", "-widths", "0"},       // bad axis value
-		{"-endpoints", "a", "-format", "parquet"}, // bad format
-		{"-endpoints", "a", "stray-arg"},          // positional junk
+		{},                                                         // no endpoints
+		{"-endpoints", "a", "-bench", "doom"},                      // unknown benchmark
+		{"-endpoints", "a", "-mode", "oracular"},                   // bad mode
+		{"-endpoints", "a", "-widths", "0"},                        // bad axis value
+		{"-endpoints", "a", "-format", "parquet"},                  // bad format
+		{"-endpoints", "a", "stray-arg"},                           // positional junk
+		{"-endpoints", "a", "-insts", "0"},                         // non-positive insts
+		{"-endpoints", "a", "-insts", "20000", "-warmup", "30000"}, // warmup past insts
+		{"-endpoints", "a", "-insts", "20000", "-warmup", "20000"}, // warmup equal to insts
 	}
 	for _, args := range cases {
 		var out, errb bytes.Buffer

@@ -22,6 +22,19 @@ import (
 // points are deduplicated by the merger).
 var errIncompleteStream = errors.New("cluster: batch stream ended without trailer")
 
+// rejectedError is a daemon's deterministic refusal of a batch: a 4xx other
+// than 429, i.e. the request itself is bad (an oversized machine, warmup past
+// the instruction budget). Retrying, requeueing or another node cannot help,
+// so the dispatcher fails the batch's points instead.
+type rejectedError struct {
+	status int
+	msg    string // the daemon's error message
+}
+
+func (e *rejectedError) Error() string {
+	return fmt.Sprintf("cluster: daemon status %d: %s", e.status, e.msg)
+}
+
 // Client talks to one intervalsimd daemon. It wraps the daemon's JSON API
 // with the fleet behaviors a coordinator needs: health probing, metrics
 // scraping, NDJSON batch streaming, and honoring 429 + Retry-After
@@ -122,7 +135,8 @@ func (c *Client) Metrics(ctx context.Context) (service.MetricsResponse, error) {
 
 // Batch dispatches one shard via POST /v1/batch and streams its NDJSON
 // result lines to onPoint as they arrive. A 429 response is honored: the
-// client waits the advertised (capped) Retry-After and resubmits. The
+// client waits the advertised (capped) Retry-After and resubmits; any other
+// 4xx is a *rejectedError, a refusal no resubmission can change. The
 // returned trailer is valid only when err is nil; a stream that ends
 // without a trailer reports errIncompleteStream so the caller re-dispatches.
 func (c *Client) Batch(ctx context.Context, req service.BatchRequest, onPoint func(service.BatchPoint)) (service.BatchTrailer, error) {
@@ -147,9 +161,12 @@ func (c *Client) Batch(ctx context.Context, req service.BatchRequest, onPoint fu
 			continue
 		}
 		if resp.StatusCode != http.StatusOK {
-			err := decodeError(resp)
+			msg := decodeError(resp)
 			resp.Body.Close()
-			return trailer, err
+			if resp.StatusCode >= 400 && resp.StatusCode < 500 {
+				return trailer, &rejectedError{status: resp.StatusCode, msg: msg}
+			}
+			return trailer, fmt.Errorf("cluster: daemon status %d: %s", resp.StatusCode, msg)
 		}
 		return readBatchStream(resp.Body, onPoint)
 	}
@@ -185,15 +202,16 @@ func (c *Client) retryAfter(resp *http.Response) time.Duration {
 	return d
 }
 
-// decodeError extracts the daemon's JSON error message.
-func decodeError(resp *http.Response) error {
+// decodeError extracts the daemon's JSON error message, falling back to the
+// status text.
+func decodeError(resp *http.Response) string {
 	var e struct {
 		Error string `json:"error"`
 	}
 	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&e); err == nil && e.Error != "" {
-		return fmt.Errorf("cluster: daemon status %d: %s", resp.StatusCode, e.Error)
+		return e.Error
 	}
-	return fmt.Errorf("cluster: daemon status %d", resp.StatusCode)
+	return http.StatusText(resp.StatusCode)
 }
 
 // readBatchStream consumes NDJSON lines until the trailer.

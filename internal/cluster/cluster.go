@@ -17,9 +17,14 @@ import (
 	"sync"
 	"time"
 
+	"intervalsim/internal/engine"
 	"intervalsim/internal/service"
 	"intervalsim/internal/stats"
 )
+
+// outcomeBadInput is the daemon's outcome name for a point it refused at
+// admission; a rejected batch's points carry it.
+const outcomeBadInput = "bad_input"
 
 // errSweepDone cancels in-flight duplicate dispatches once every point has
 // committed: a stolen batch still streaming on a slow node has nothing left
@@ -249,18 +254,20 @@ func Run(ctx context.Context, opts Options, emit func(*Row) error) (*RunStats, e
 	}
 	mode := opts.Mode
 	if mode == "" {
-		mode = "sim"
+		mode = engine.ModeSim
 	}
-	switch mode {
-	case "sim", "sampled", "model":
-	default:
-		return nil, fmt.Errorf("cluster: unknown mode %q (want sim, sampled or model)", mode)
+	if err := engine.CheckMode(mode); err != nil {
+		return nil, fmt.Errorf("cluster: %v", err)
 	}
-	if mode == "sampled" && (opts.SampleDetailed == 0 || opts.SampleSkip == 0) {
+	if mode == engine.ModeSampled && (opts.SampleDetailed == 0 || opts.SampleSkip == 0) {
 		return nil, fmt.Errorf("cluster: sampled mode needs positive SampleDetailed and SampleSkip")
 	}
 	if opts.Insts <= 0 {
 		return nil, fmt.Errorf("cluster: non-positive insts %d", opts.Insts)
+	}
+	// Every daemon would refuse such a batch; catch it before dispatching.
+	if opts.Warmup >= uint64(opts.Insts) {
+		return nil, fmt.Errorf("cluster: warmup %d must be less than insts %d", opts.Warmup, opts.Insts)
 	}
 	stealAfter := opts.StealAfter
 	if stealAfter == 0 {
@@ -400,7 +407,19 @@ func (r *run) runEndpoint(ctx context.Context, c *Client) {
 		}
 		start := time.Now()
 		err := r.dispatch(ctx, c, st)
-		if err != nil {
+		var rej *rejectedError
+		switch {
+		case errors.As(err, &rej):
+			// The daemon refused the batch itself: every node would, so the
+			// points fail here and the node stays in service.
+			r.logf("cluster: %s: batch %d (%s, %d points) rejected: %v", c.Base, st.ID, st.Bench, len(st.Specs), err)
+			for _, sp := range st.Specs {
+				r.commit(c.Base, st.Bench, service.BatchPoint{
+					Seq: sp.Seq, Width: sp.Width, Depth: sp.Depth, ROB: sp.ROB,
+					Error: rej.msg, Outcome: outcomeBadInput,
+				})
+			}
+		case err != nil:
 			r.sched.fail(st)
 			if ctx.Err() != nil {
 				return
@@ -418,9 +437,10 @@ func (r *run) runEndpoint(ctx context.Context, c *Client) {
 				return
 			}
 			continue
+		default:
+			acc.record(time.Since(start))
 		}
 		r.sched.complete(st)
-		acc.record(time.Since(start))
 		if done, total, _ := r.sched.stats(); done == total {
 			// Unblock stolen duplicates still streaming elsewhere.
 			r.cancel(errSweepDone)
@@ -442,11 +462,11 @@ func (r *run) dispatch(ctx context.Context, c *Client, st *batchState) error {
 		VPred:     r.opts.VPred,
 		FetchRate: r.opts.FetchRate,
 		Mode:      r.mode,
-		Decompose: r.mode == "sim",
+		Decompose: r.mode == engine.ModeSim,
 		TimeoutMS: int(r.opts.PointTimeout / time.Millisecond),
 		Points:    st.Specs,
 	}
-	if r.mode == "sampled" {
+	if r.mode == engine.ModeSampled {
 		req.SampleDetailed = r.opts.SampleDetailed
 		req.SampleSkip = r.opts.SampleSkip
 	}
@@ -458,7 +478,8 @@ func (r *run) dispatch(ctx context.Context, c *Client, st *batchState) error {
 		if err == nil {
 			return nil
 		}
-		if ctx.Err() != nil || attempt >= r.opts.Retries {
+		var rej *rejectedError
+		if ctx.Err() != nil || attempt >= r.opts.Retries || errors.As(err, &rej) {
 			return err
 		}
 		r.logf("cluster: %s: batch %d retry %d after: %v", c.Base, st.ID, attempt+1, err)

@@ -57,7 +57,7 @@ func referenceCSV(t *testing.T, bench string, widths, depths, robs []int, insts 
 		t.Fatal(err)
 	}
 	var b strings.Builder
-	b.WriteString(strings.Join(simHeaders, ",") + "\n")
+	b.WriteString("width,depth,rob,ipc,avg_penalty,penalty_frontend,penalty_drain,penalty_fu,penalty_shortd,penalty_longd\n")
 	for _, w := range widths {
 		for _, d := range depths {
 			for _, r := range robs {
@@ -431,5 +431,72 @@ func TestRunModeValidation(t *testing.T) {
 	if _, err := Run(context.Background(), samp, func(*Row) error { return nil }); err == nil ||
 		!strings.Contains(err.Error(), "needs positive SampleDetailed and SampleSkip") {
 		t.Errorf("sampled without phases: err = %v", err)
+	}
+
+	for _, warmup := range []uint64{1000, 30000} {
+		long := base
+		long.Warmup = warmup
+		if _, err := Run(context.Background(), long, func(*Row) error { return nil }); err == nil ||
+			!strings.Contains(err.Error(), fmt.Sprintf("warmup %d must be less than insts 1000", warmup)) {
+			t.Errorf("warmup %d >= insts: err = %v", warmup, err)
+		}
+	}
+}
+
+// TestRunRejectedBatchFailsFast: a daemon that refuses a batch with a 400
+// (here a ROB past the admission ceiling) refuses it deterministically. The
+// coordinator must fail that batch's points with the daemon's message and
+// the bad_input outcome, without retrying, requeueing or abandoning the
+// node, and return promptly instead of redispatching forever.
+func TestRunRejectedBatchFailsFast(t *testing.T) {
+	var batches atomic.Int32
+	a := bootDaemon(t, service.Options{Workers: 2}, func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/batch" {
+				batches.Add(1)
+			}
+			h.ServeHTTP(w, r)
+		})
+	})
+	var rows []*Row
+	start := time.Now()
+	rs, err := Run(context.Background(), Options{
+		Endpoints: []string{a.URL},
+		Benches:   []string{"gzip"},
+		Widths:    []int{2, 4},
+		Depths:    []int{3},
+		ROBs:      []int{70000},
+		Insts:     20000,
+		Warmup:    5000,
+		BatchSize: 1,
+		Retries:   3,
+		KeepGoing: true,
+		Logf:      t.Logf,
+	}, func(r *Row) error {
+		rows = append(rows, r)
+		return nil
+	})
+	if d := time.Since(start); d > 20*time.Second {
+		t.Fatalf("Run took %v on a deterministic 400", d)
+	}
+	if err == nil || !strings.Contains(err.Error(), "2 of 2 design points failed") {
+		t.Fatalf("err = %v, want both points failed", err)
+	}
+	if rs.Failed != 2 || rs.OK != 0 {
+		t.Fatalf("stats = %+v, want 2 failed", rs)
+	}
+	if n := batches.Load(); n != 2 {
+		t.Errorf("daemon saw %d batch dispatches, want 2 (one per batch, no retries)", n)
+	}
+	if rs.Nodes[0].Dead {
+		t.Error("node abandoned after a deterministic refusal")
+	}
+	if len(rows) != 2 {
+		t.Fatalf("emitted %d rows, want 2", len(rows))
+	}
+	for _, r := range rows {
+		if r.Point.Outcome != "bad_input" || !strings.Contains(r.Point.Error, "ROBSize 70000 exceeds the ceiling 65536") {
+			t.Errorf("seq %d: outcome %q error %q, want bad_input with the daemon's message", r.Point.Seq, r.Point.Outcome, r.Point.Error)
+		}
 	}
 }

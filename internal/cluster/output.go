@@ -6,23 +6,13 @@ import (
 	"io"
 	"strings"
 
+	"intervalsim/internal/engine"
 	"intervalsim/internal/service"
 )
 
-// simHeaders / modelHeaders / sampledHeaders mirror cmd/sweep's CSV columns
-// exactly; byte parity between a distributed and a single-process sweep
-// depends on it.
-var (
-	simHeaders = []string{"width", "depth", "rob", "ipc", "avg_penalty",
-		"penalty_frontend", "penalty_drain", "penalty_fu", "penalty_shortd", "penalty_longd"}
-	modelHeaders = []string{"width", "depth", "rob", "ipc", "avg_penalty",
-		"cpi_base", "cpi_bpred", "cpi_icache", "cpi_longd"}
-	sampledHeaders = []string{"width", "depth", "rob", "ipc",
-		"cpi", "cpi_lo", "cpi_hi", "cpi_rel_err", "units"}
-)
-
-// CSVSink renders merged rows as the same CSV cmd/sweep emits — identical
-// headers and format verbs, so a single-benchmark distributed sweep is
+// CSVSink renders merged rows as the same CSV cmd/sweep emits: headers and
+// rows come from engine.CSVHeader and engine.CSVRow, the renderer the
+// in-process sweep uses, so a single-benchmark distributed sweep is
 // byte-identical to the single-process tool. Sweeping multiple benchmarks
 // prepends a "bench" column. Failed points produce no row (cmd/sweep's
 // fail-soft convention: errors go to the log and the exit code).
@@ -38,79 +28,40 @@ func NewCSVSink(w io.Writer, mode string, multiBench bool) *CSVSink {
 	return &CSVSink{w: w, mode: mode, multiBench: multiBench}
 }
 
+// header writes the column line, once.
 func (s *CSVSink) header() error {
-	s.wroteHeader = true
-	hs := simHeaders
-	switch s.mode {
-	case "model":
-		hs = modelHeaders
-	case "sampled":
-		hs = sampledHeaders
-	}
-	if s.multiBench {
-		hs = append([]string{"bench"}, hs...)
-	}
-	_, err := fmt.Fprintln(s.w, strings.Join(hs, ","))
-	return err
-}
-
-// Emit writes one merged row.
-func (s *CSVSink) Emit(row *Row) error {
-	if !s.wroteHeader {
-		if err := s.header(); err != nil {
-			return err
-		}
-	}
-	if row.Point.Error != "" {
+	if s.wroteHeader {
 		return nil
 	}
-	pt := row.Point
-	cells := []string{
-		fmt.Sprintf("%d", pt.Width), fmt.Sprintf("%d", pt.Depth), fmt.Sprintf("%d", pt.ROB),
-		fmt.Sprintf("%.3f", pt.IPC),
-	}
-	switch s.mode {
-	case "model":
-		cells = append(cells,
-			fmt.Sprintf("%.2f", pt.AvgPenalty),
-			fmt.Sprintf("%.3f", pt.CPIBase),
-			fmt.Sprintf("%.3f", pt.CPIBpred),
-			fmt.Sprintf("%.3f", pt.CPIICache),
-			fmt.Sprintf("%.3f", pt.CPILongData),
-		)
-	case "sampled":
-		cells = append(cells,
-			fmt.Sprintf("%.4f", pt.CPI),
-			fmt.Sprintf("%.4f", pt.CPILo),
-			fmt.Sprintf("%.4f", pt.CPIHi),
-			fmt.Sprintf("%.4f", pt.CPIRelErr),
-			fmt.Sprintf("%d", pt.SampleUnits),
-		)
-	default:
-		cells = append(cells,
-			fmt.Sprintf("%.2f", pt.AvgPenalty),
-			fmt.Sprintf("%.2f", pt.PenFrontend),
-			fmt.Sprintf("%.2f", pt.PenDrain),
-			fmt.Sprintf("%.2f", pt.PenFU),
-			fmt.Sprintf("%.2f", pt.PenShortD),
-			fmt.Sprintf("%.2f", pt.PenLongD),
-		)
-	}
+	s.wroteHeader = true
+	return s.write("bench", engine.CSVHeader(s.mode))
+}
+
+// write writes one CSV line, led by the bench column when sweeping multiple
+// benchmarks.
+func (s *CSVSink) write(bench string, cells []string) error {
 	if s.multiBench {
-		cells = append([]string{row.Bench}, cells...)
+		cells = append([]string{bench}, cells...)
 	}
 	_, err := fmt.Fprintln(s.w, strings.Join(cells, ","))
 	return err
 }
 
-// Finish writes the header if no row ever did (an all-failed sweep still
-// emits a well-formed, empty CSV, as cmd/sweep does).
-func (s *CSVSink) Finish() error {
-	if s.wroteHeader {
+// Emit writes one merged row.
+func (s *CSVSink) Emit(row *Row) error {
+	if err := s.header(); err != nil {
+		return err
+	}
+	if row.Point.Error != "" {
 		return nil
 	}
-	return s.header()
+	pt := row.Point
+	return s.write(row.Bench, engine.CSVRow(s.mode, pt.Width, pt.Depth, pt.ROB, pt.Result()))
 }
+
+// Finish writes the header if no row ever did (an all-failed sweep still
+// emits a well-formed, empty CSV, as cmd/sweep does).
+func (s *CSVSink) Finish() error { return s.header() }
 
 // NDJSONSink streams merged rows as NDJSON, one object per design point
 // including failed ones, for downstream tooling that wants raw float64

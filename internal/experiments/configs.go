@@ -33,6 +33,13 @@ func Point(width, depth, rob int) uarch.Config {
 	return cfg
 }
 
+// DefaultGrid returns the axes of the canonical design-space sweep, 27
+// points in (width, depth, rob) order: the sweep command's grid, the
+// service's default /v1/sweep axes, and sweepctl's default axes.
+func DefaultGrid() (widths, depths, robs []int) {
+	return []int{2, 4, 8}, []int{3, 7, 11}, []int{64, 128, 256}
+}
+
 // SharedTrace returns the process-wide shared (record-layout, packed) trace
 // for (wc, insts), generating and packing it on first use. Concurrent
 // callers for the same key share one generation; both returned layouts are

@@ -366,12 +366,6 @@ type SweepPoint struct {
 	Outcome string `json:"outcome,omitempty"`
 }
 
-// SweepTrailer is the final NDJSON line of a sweep stream.
-type SweepTrailer struct {
-	Done    bool   `json:"done"`
-	Points  int    `json:"points"`
-	OK      int    `json:"ok"`
-	Failed  int    `json:"failed"`
-	Mode    string `json:"mode"`
-	Elapsed string `json:"elapsed"`
-}
+// SweepTrailer is the final NDJSON line of a sweep stream: sweeps and
+// batches share one streaming loop, and so one trailer.
+type SweepTrailer = BatchTrailer

@@ -9,8 +9,7 @@ import (
 	"time"
 
 	"intervalsim/internal/core"
-	"intervalsim/internal/overlay"
-	"intervalsim/internal/trace"
+	"intervalsim/internal/engine"
 	"intervalsim/internal/uarch"
 	"intervalsim/internal/workload"
 )
@@ -101,7 +100,7 @@ type BatchPoint struct {
 	Outcome  string `json:"outcome,omitempty"`
 }
 
-// BatchTrailer is the final NDJSON line of a batch stream.
+// BatchTrailer is the final NDJSON line of a batch or sweep stream.
 type BatchTrailer struct {
 	Done    bool   `json:"done"`
 	Points  int    `json:"points"`
@@ -111,17 +110,110 @@ type BatchTrailer struct {
 	Elapsed string `json:"elapsed"`
 }
 
-// batchInputs is a resolved batch request.
-type batchInputs struct {
-	simInputs
-	mode           string
-	decompose      bool
-	sampleDetailed uint64
-	sampleSkip     uint64
-	specs          []BatchPointSpec
+// Result is the executor result a streamed point carries: the inverse of
+// batchLine, so a client renders merged points (the cluster's CSV sink)
+// through the same engine.CSVRow the in-process sweep uses.
+func (p BatchPoint) Result() engine.Result {
+	return engine.Result{
+		IPC: p.IPC, Cycles: p.Cycles, AvgPenalty: p.AvgPenalty,
+		Penalty: core.Breakdown{
+			Frontend: p.PenFrontend, BaseILP: p.PenDrain, FULatency: p.PenFU,
+			ShortDMiss: p.PenShortD, LongDMiss: p.PenLongD, Total: p.AvgPenalty,
+		},
+		Stack: engine.Stack{
+			Base: p.CPIBase, Bpred: p.CPIBpred, ICache: p.CPIICache,
+			LongData: p.CPILongData, VMisspec: p.CPIVMisspec,
+		},
+		CPI:   uarch.Interval{Mean: p.CPI, Lower: p.CPILo, Upper: p.CPIHi, RelErr: p.CPIRelErr},
+		Units: p.SampleUnits,
+		Path:  p.Path, Fallback: p.Fallback,
+	}
 }
 
-func (s *Server) resolveBatch(req *BatchRequest) (batchInputs, error) {
+// batchLine maps one point's answer onto its /v1/batch line.
+func batchLine(sp BatchPointSpec, r engine.Result, err error, outcome string) BatchPoint {
+	p := BatchPoint{Seq: sp.Seq, Width: sp.Width, Depth: sp.Depth, ROB: sp.ROB}
+	if err != nil {
+		p.Error, p.Outcome = err.Error(), outcome
+		return p
+	}
+	p.IPC, p.Cycles, p.AvgPenalty = r.IPC, r.Cycles, r.AvgPenalty
+	p.PenFrontend, p.PenDrain, p.PenFU = r.Penalty.Frontend, r.Penalty.BaseILP, r.Penalty.FULatency
+	p.PenShortD, p.PenLongD = r.Penalty.ShortDMiss, r.Penalty.LongDMiss
+	p.CPIBase, p.CPIBpred, p.CPIICache = r.Stack.Base, r.Stack.Bpred, r.Stack.ICache
+	p.CPILongData, p.CPIVMisspec = r.Stack.LongData, r.Stack.VMisspec
+	p.CPI, p.CPILo, p.CPIHi, p.CPIRelErr = r.CPI.Mean, r.CPI.Lower, r.CPI.Upper, r.CPI.RelErr
+	p.SampleUnits, p.Path, p.Fallback = r.Units, r.Path, r.Fallback
+	return p
+}
+
+// pointInputs is a resolved sweep or batch: the shared run, its executor
+// spec, and the design points in submission order.
+type pointInputs struct {
+	simInputs
+	spec   engine.Spec
+	points []BatchPointSpec
+}
+
+// maxROB is the largest ROB any point requests: the depth of the model
+// set's window ladder.
+func (in pointInputs) maxROB() int {
+	rob := 2
+	for _, sp := range in.points {
+		rob = max(rob, sp.ROB)
+	}
+	return rob
+}
+
+// checkPointCap turns away requests of more than MaxSweepPoints points.
+func (s *Server) checkPointCap(n int) error {
+	if n > s.opts.MaxSweepPoints {
+		return fmt.Errorf("%w: %d points exceeds the %d-point cap", errBadRequest, n, s.opts.MaxSweepPoints)
+	}
+	return nil
+}
+
+// resolvePoints is the admission check sweeps and batches share: the point
+// cap, every point's machine, the mode, and sampled mode's phase lengths.
+// Batch points are named by seq in errors; sweep points by their machine.
+func (s *Server) resolvePoints(base simInputs, points []BatchPointSpec, mode string, decompose bool, detailed, skip uint64, bySeq bool) (pointInputs, error) {
+	if err := s.checkPointCap(len(points)); err != nil {
+		return pointInputs{}, err
+	}
+	for _, sp := range points {
+		if sp.Width <= 0 || sp.Depth <= 0 || sp.ROB <= 0 {
+			return pointInputs{}, fmt.Errorf("%w: point seq %d has non-positive knobs", errBadRequest, sp.Seq)
+		}
+		if err := pointConfig(base.cfg, sp.Width, sp.Depth, sp.ROB).Validate(); err != nil {
+			if bySeq {
+				return pointInputs{}, fmt.Errorf("%w: point seq %d: %v", errBadRequest, sp.Seq, err)
+			}
+			return pointInputs{}, fmt.Errorf("%w: %v", errBadRequest, err)
+		}
+	}
+	if mode == "" {
+		mode = engine.ModeSim
+	}
+	if err := engine.CheckMode(mode); err != nil {
+		return pointInputs{}, fmt.Errorf("%w: %v", errBadRequest, err)
+	}
+	if decompose && mode != engine.ModeSim {
+		return pointInputs{}, fmt.Errorf("%w: decompose requires sim mode", errBadRequest)
+	}
+	if mode == engine.ModeSampled && (detailed == 0 || skip == 0) {
+		return pointInputs{}, fmt.Errorf("%w: sampled mode needs positive sample_detailed and sample_skip", errBadRequest)
+	}
+	return pointInputs{
+		simInputs: base,
+		spec: engine.Spec{
+			Mode: mode, Insts: base.insts, Warmup: base.warmup, Decompose: decompose,
+			SampleDetailed: detailed, SampleSkip: skip,
+		},
+		points: points,
+	}, nil
+}
+
+func (s *Server) resolveBatch(req *BatchRequest) (pointInputs, error) {
 	base, err := s.resolveSimulate(&SimulateRequest{
 		Benchmark: req.Benchmark,
 		Workload:  req.Workload,
@@ -131,40 +223,12 @@ func (s *Server) resolveBatch(req *BatchRequest) (batchInputs, error) {
 		TimeoutMS: req.TimeoutMS,
 	})
 	if err != nil {
-		return batchInputs{}, err
+		return pointInputs{}, err
 	}
-	in := batchInputs{simInputs: base, specs: req.Points, decompose: req.Decompose}
-	if len(in.specs) == 0 {
-		return batchInputs{}, fmt.Errorf("%w: batch has no points", errBadRequest)
+	if len(req.Points) == 0 {
+		return pointInputs{}, fmt.Errorf("%w: batch has no points", errBadRequest)
 	}
-	if len(in.specs) > s.opts.MaxSweepPoints {
-		return batchInputs{}, fmt.Errorf("%w: %d points exceeds the %d-point cap", errBadRequest, len(in.specs), s.opts.MaxSweepPoints)
-	}
-	for _, sp := range in.specs {
-		if sp.Width <= 0 || sp.Depth <= 0 || sp.ROB <= 0 {
-			return batchInputs{}, fmt.Errorf("%w: point seq %d has non-positive knobs", errBadRequest, sp.Seq)
-		}
-		if err := pointConfig(in.cfg, sp.Width, sp.Depth, sp.ROB).Validate(); err != nil {
-			return batchInputs{}, fmt.Errorf("%w: point seq %d: %v", errBadRequest, sp.Seq, err)
-		}
-	}
-	in.mode = req.Mode
-	if in.mode == "" {
-		in.mode = "sim"
-	}
-	switch in.mode {
-	case "sim", "sampled", "model":
-	default:
-		return batchInputs{}, fmt.Errorf("%w: unknown mode %q (want sim, sampled or model)", errBadRequest, in.mode)
-	}
-	if in.decompose && in.mode != "sim" {
-		return batchInputs{}, fmt.Errorf("%w: decompose requires sim mode", errBadRequest)
-	}
-	in.sampleDetailed, in.sampleSkip = req.SampleDetailed, req.SampleSkip
-	if in.mode == "sampled" && (in.sampleDetailed == 0 || in.sampleSkip == 0) {
-		return batchInputs{}, fmt.Errorf("%w: sampled mode needs positive sample_detailed and sample_skip", errBadRequest)
-	}
-	return in, nil
+	return s.resolvePoints(base, req.Points, req.Mode, req.Decompose, req.SampleDetailed, req.SampleSkip, true)
 }
 
 // handleBatch streams an explicit design-point list as NDJSON: one
@@ -187,83 +251,92 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	// Batch dispatches come from the cluster coordinator, which stamps its
 	// current fleet view on each one; adopt it before resolving artifacts so
-	// the fills below can already reach the peers.
+	// the executor's fills can already reach the peers.
 	s.learnPeers(r)
+	streamPoints(s, w, r, start, in, streamTasks{name: "batch"}, batchLine)
+}
 
-	// Shared artifacts, once per batch — and across batches via the caches,
-	// filled from fleet peers when possible. Sampled runs bypass overlay
-	// replay by design (precomputed dependences do not apply to
-	// fast-forwarded runs), so that mode never computes one.
+// executor resolves a run's shared artifacts through the server's caches
+// (the packed trace from the trace cache, the overlay from the overlay
+// cache, each filled from fleet peers when they have it) and returns the
+// design-point executor over them.
+func (s *Server) executor(in simInputs, spec engine.Spec, maxROB int) (*engine.Executor, error) {
 	tr, soa, err := s.sharedTrace(in.wc, in.insts)
+	if err != nil {
+		return nil, err
+	}
+	return engine.New(spec, in.cfg, maxROB, tr, soa, s.overlayFor)
+}
+
+// streamTasks names and schedules the pool tasks of one streamed run.
+type streamTasks struct {
+	name     string // task-name prefix
+	priority int
+	tenant   string
+}
+
+// streamedLine is one NDJSON line on its way to the client.
+type streamedLine[P any] struct {
+	v      P
+	failed bool
+}
+
+// streamPoints runs in's points on the pool and streams one NDJSON line
+// per point in completion order (line maps each answer onto the surface's
+// wire type), then the trailer. The shared artifacts are resolved once up
+// front, so a second identical request is pure cache hits; each point then
+// runs as its own pool task, under the same backpressure as every other job.
+func streamPoints[P any](s *Server, w http.ResponseWriter, r *http.Request, start time.Time, in pointInputs, sched streamTasks,
+	line func(BatchPointSpec, engine.Result, error, string) P) {
+	exec, err := s.executor(in.simInputs, in.spec, in.maxROB())
 	if err != nil {
 		s.reject(w, http.StatusInternalServerError, err, outcomeError)
 		return
 	}
-	var ov *overlay.Overlay
-	if in.mode != "sampled" {
-		if ov, err = s.overlayFor(soa, in.cfg.Pred, in.cfg.Mem, in.cfg.VPred); err != nil {
-			s.reject(w, http.StatusInternalServerError, err, outcomeError)
-			return
-		}
-	}
-	var set *core.ModelSet
-	if in.mode == "model" {
-		maxROB := 2
-		for _, sp := range in.specs {
-			if sp.ROB > maxROB {
-				maxROB = sp.ROB
-			}
-		}
-		set, err = core.NewModelSet(soa, ov, in.cfg, maxROB, in.warmup, in.insts)
-		if err != nil {
-			s.reject(w, http.StatusInternalServerError, err, outcomeError)
-			return
-		}
-	}
-
-	// Admission check before committing to a stream, as for /v1/sweep.
+	// Admission check before committing to a stream: if the queue cannot
+	// take even one point now, turn the whole request away.
 	if ps := s.pool.Stats(); ps.Queued >= ps.Capacity {
 		w.Header().Set("Retry-After", s.retryAfter())
 		s.reject(w, http.StatusTooManyRequests, ErrQueueFull, outcomeRejected)
 		return
 	}
 
-	lines := make(chan BatchPoint, len(in.specs))
+	lines := make(chan streamedLine[P], len(in.points))
 	var wg sync.WaitGroup
-	wg.Add(len(in.specs))
+	wg.Add(len(in.points))
 	go func() {
 		wg.Wait()
 		close(lines)
 	}()
 
+	// Submit every point; later points block for queue space (backpressure)
+	// rather than failing mid-stream.
 	go func() {
-		for _, sp := range in.specs {
+		for _, sp := range in.points {
 			cfg := pointConfig(in.cfg, sp.Width, sp.Depth, sp.ROB)
-			line := BatchPoint{Seq: sp.Seq, Width: sp.Width, Depth: sp.Depth, ROB: sp.ROB}
+			var res engine.Result
 			t := &task{
-				name:    fmt.Sprintf("batch-%s-%s", in.wc.Name, cfg.Name),
-				timeout: in.timeout,
-				parent:  r.Context(),
-				run: func(ctx context.Context) error {
-					switch in.mode {
-					case "model":
-						return s.modelBatchPoint(cfg, set, &line)
-					case "sampled":
-						return s.sampledBatchPoint(ctx, soa, cfg, in, &line)
-					default:
-						return s.simBatchPoint(ctx, tr, soa, ov, cfg, in, &line)
-					}
+				name:     fmt.Sprintf("%s-%s-%s", sched.name, in.wc.Name, cfg.Name),
+				timeout:  in.timeout,
+				priority: sched.priority,
+				tenant:   sched.tenant,
+				// A dropped connection must stop the work, not just its
+				// output: queued points are skipped and running ones
+				// canceled, freeing the worker slots promptly.
+				parent: r.Context(),
+				run: func(ctx context.Context) (err error) {
+					res, err = exec.Run(ctx, cfg)
+					return err
 				},
 				finish: func(err error, d time.Duration) {
 					outcome := classify(err)
 					s.metrics.observe(outcome, d)
 					if err != nil {
-						lines <- BatchPoint{
-							Seq: sp.Seq, Width: sp.Width, Depth: sp.Depth, ROB: sp.ROB,
-							Error: err.Error(), Outcome: outcome,
-						}
+						// Do not read res: an abandoned run may still be
+						// writing it.
+						lines <- streamedLine[P]{line(sp, engine.Result{}, err, outcome), true}
 					} else {
-						lines <- line
+						lines <- streamedLine[P]{line(sp, res, nil, outcome), false}
 					}
 					wg.Done()
 				},
@@ -271,10 +344,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			if err := s.pool.SubmitWait(r.Context(), t); err != nil {
 				outcome := classify(err)
 				s.metrics.count(outcome)
-				lines <- BatchPoint{
-					Seq: sp.Seq, Width: sp.Width, Depth: sp.Depth, ROB: sp.ROB,
-					Error: err.Error(), Outcome: outcome,
-				}
+				lines <- streamedLine[P]{line(sp, engine.Result{}, err, outcome), true}
 				wg.Done()
 			}
 		}
@@ -285,112 +355,19 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 	flusher, _ := w.(http.Flusher)
 	ok, failed := 0, 0
-	for line := range lines {
-		if line.Error == "" {
-			ok++
-		} else {
+	for l := range lines {
+		if l.failed {
 			failed++
+		} else {
+			ok++
 		}
-		enc.Encode(line) //nolint:errcheck // keep draining for the finishers
+		enc.Encode(l.v) //nolint:errcheck // keep draining for the finishers
 		if flusher != nil {
 			flusher.Flush()
 		}
 	}
 	enc.Encode(BatchTrailer{ //nolint:errcheck
-		Done: true, Points: len(in.specs), OK: ok, Failed: failed,
-		Mode: in.mode, Elapsed: time.Since(start).Round(time.Millisecond).String(),
+		Done: true, Points: len(in.points), OK: ok, Failed: failed,
+		Mode: in.spec.Mode, Elapsed: time.Since(start).Round(time.Millisecond).String(),
 	})
-}
-
-// simBatchPoint runs one cycle-level point into line, with the interval
-// penalty decomposition when asked for — the exact computation behind
-// cmd/sweep's sim-mode CSV row, so a distributed sweep merges to the same
-// bytes as a single-process one.
-func (s *Server) simBatchPoint(ctx context.Context, tr *trace.Trace, soa *trace.SoA, ov *overlay.Overlay, cfg uarch.Config, in batchInputs, line *BatchPoint) error {
-	res, err := uarch.RunContext(ctx, soa.Reader(), cfg, uarch.Options{
-		RecordMispredicts: true,
-		RecordLoadLevels:  in.decompose,
-		WarmupInsts:       in.warmup,
-		Overlay:           ov,
-	})
-	if err != nil {
-		return err
-	}
-	line.IPC = res.IPC()
-	line.Cycles = res.Cycles
-	line.Path = res.Path
-	line.Fallback = res.Fallback
-	line.AvgPenalty = res.AvgMispredictPenalty()
-	if in.decompose {
-		dec, err := core.NewDecomposer(tr, res)
-		if err != nil {
-			return err
-		}
-		m := core.Mean(dec.DecomposeAll())
-		line.AvgPenalty = m.Total
-		line.PenFrontend = m.Frontend
-		line.PenDrain = m.BaseILP
-		line.PenFU = m.FULatency
-		line.PenShortD = m.ShortDMiss
-		line.PenLongD = m.LongDMiss
-	}
-	return nil
-}
-
-// sampledBatchPoint runs one design point under systematic sampling and
-// fills the CPI confidence-interval fields. The request's warmup budget
-// becomes the initial functional skip; no overlay is involved (sampled runs
-// track dependences live by design).
-func (s *Server) sampledBatchPoint(ctx context.Context, soa *trace.SoA, cfg uarch.Config, in batchInputs, line *BatchPoint) error {
-	res, err := uarch.RunContext(ctx, soa.Reader(), cfg, uarch.Options{
-		SampleStartSkip: in.warmup,
-		SampleDetailed:  in.sampleDetailed,
-		SampleSkip:      in.sampleSkip,
-	})
-	if err != nil {
-		return err
-	}
-	st := res.Sample
-	if st == nil {
-		return fmt.Errorf("%s: sampled run carries no sample statistics", cfg.Name)
-	}
-	line.IPC = res.IPC()
-	line.Cycles = res.Cycles
-	line.Path = res.Path
-	line.Fallback = res.Fallback
-	line.CPI = st.CPI.Mean
-	line.CPILo = st.CPI.Lower
-	line.CPIHi = st.CPI.Upper
-	line.CPIRelErr = st.CPI.RelErr
-	line.SampleUnits = st.Units
-	return nil
-}
-
-// modelBatchPoint evaluates one analytic-model point into line, mirroring
-// cmd/sweep's model-mode CSV row.
-func (s *Server) modelBatchPoint(cfg uarch.Config, set *core.ModelSet, line *BatchPoint) error {
-	m, prof, err := set.For(cfg)
-	if err != nil {
-		return err
-	}
-	pred, err := m.PredictCPI(prof)
-	if err != nil {
-		return err
-	}
-	pen, err := modelPenalty(m, prof)
-	if err != nil {
-		return err
-	}
-	insts := float64(pred.Insts)
-	line.AvgPenalty = pen
-	line.CPIBase = pred.Base / insts
-	line.CPIBpred = pred.Bpred / insts
-	line.CPIICache = pred.ICache / insts
-	line.CPILongData = pred.LongData / insts
-	line.CPIVMisspec = pred.VMisspec / insts
-	if cpi := pred.CPI(); cpi > 0 {
-		line.IPC = 1 / cpi
-	}
-	line.Path = "model"
-	return nil
 }

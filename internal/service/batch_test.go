@@ -12,7 +12,9 @@ import (
 	"time"
 
 	"intervalsim/internal/core"
+	"intervalsim/internal/engine"
 	"intervalsim/internal/experiments"
+	"intervalsim/internal/overlay"
 	"intervalsim/internal/uarch"
 	"intervalsim/internal/workload"
 )
@@ -368,5 +370,43 @@ func TestSweepClientDisconnectFreesWorkers(t *testing.T) {
 	}
 	if d := time.Since(start); d > 20*time.Second {
 		t.Fatalf("post-disconnect job took %v, worker slot not freed", d)
+	}
+}
+
+// TestBatchPointResultRoundTrip: a point that crosses the wire renders the
+// same CSV row as the executor result it came from, in every mode. The
+// cluster's CSV sink renders daemon points through BatchPoint.Result, so
+// this is the distributed sweep's byte-parity contract at the field level.
+func TestBatchPointResultRoundTrip(t *testing.T) {
+	wc, _ := workload.SuiteConfig("gzip")
+	tr, soa, err := experiments.SharedTrace(wc, 12_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := BatchPointSpec{Seq: 3, Width: 2, Depth: 11, ROB: 64}
+	cfg := experiments.Point(sp.Width, sp.Depth, sp.ROB)
+	for _, mode := range []string{engine.ModeSim, engine.ModeSampled, engine.ModeModel} {
+		spec := engine.Spec{Mode: mode, Insts: 12_000, Warmup: 2_000, Decompose: mode == engine.ModeSim,
+			SampleDetailed: 1_000, SampleSkip: 2_000}
+		exec, err := engine.New(spec, uarch.Baseline(), 256, tr, soa, overlay.Shared.GetSpec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := exec.Run(context.Background(), cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", mode, err)
+		}
+		raw, err := json.Marshal(batchLine(sp, r, nil, ""))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back BatchPoint
+		if err := json.Unmarshal(raw, &back); err != nil {
+			t.Fatal(err)
+		}
+		want := strings.Join(engine.CSVRow(mode, sp.Width, sp.Depth, sp.ROB, r), ",")
+		if got := strings.Join(engine.CSVRow(mode, back.Width, back.Depth, back.ROB, back.Result()), ","); got != want {
+			t.Errorf("%s: row after the wire %q, want %q", mode, got, want)
+		}
 	}
 }

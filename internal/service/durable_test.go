@@ -387,7 +387,7 @@ func TestSweepJobResume(t *testing.T) {
 	}
 	spec := sweepJobSpec{
 		Benchmark: testSweep.Benchmark, Insts: in.insts,
-		Widths: in.widths, Depths: in.depths, ROBs: in.robs, Mode: in.mode,
+		Widths: in.widths, Depths: in.depths, ROBs: in.robs, Mode: in.spec.Mode,
 	}
 	if _, err := j.Append(store.JournalBegin, mustJSON(spec)); err != nil {
 		t.Fatal(err)

@@ -104,9 +104,9 @@ func sweepKey(in sweepInputs) []byte {
 		Widths:         in.widths,
 		Depths:         in.depths,
 		ROBs:           in.robs,
-		Mode:           in.mode,
-		SampleDetailed: in.sampleDetailed,
-		SampleSkip:     in.sampleSkip,
+		Mode:           in.spec.Mode,
+		SampleDetailed: in.spec.SampleDetailed,
+		SampleSkip:     in.spec.SampleSkip,
 		Pred:           in.pred,
 		VPred:          in.vpred,
 		FetchRate:      in.cfg.FetchRate,

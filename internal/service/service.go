@@ -7,16 +7,14 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
-	"intervalsim/internal/core"
+	"intervalsim/internal/engine"
 	"intervalsim/internal/experiments"
 	"intervalsim/internal/overlay"
 	"intervalsim/internal/store"
 	"intervalsim/internal/trace"
-	"intervalsim/internal/uarch"
 	"intervalsim/internal/version"
 )
 
@@ -271,90 +269,43 @@ func statusFor(outcome string) int {
 // server's overlay cache (bit-identical to live simulation), with ctx wired
 // through to the simulator's cancellation watchdog.
 func (s *Server) runSimulate(ctx context.Context, in simInputs) (*SimulateResult, error) {
-	_, soa, err := s.sharedTrace(in.wc, in.insts)
+	exec, err := s.executor(in, engine.Spec{Mode: engine.ModeSim, Insts: in.insts, Warmup: in.warmup}, in.cfg.ROBSize)
 	if err != nil {
 		return nil, err
 	}
-	ov, err := s.overlayFor(soa, in.cfg.Pred, in.cfg.Mem, in.cfg.VPred)
+	r, err := exec.Run(ctx, in.cfg)
 	if err != nil {
 		return nil, err
 	}
-	res, err := uarch.RunContext(ctx, soa.Reader(), in.cfg, uarch.Options{
-		RecordMispredicts: true,
-		WarmupInsts:       in.warmup,
-		Overlay:           ov,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return newSimulateResult(in, res), nil
+	return newSimulateResult(in, r.Sim), nil
 }
 
 // runModel answers the same question from the analytic interval model: the
 // functional profile and model characteristics come straight off the shared
-// overlay, with no cycle-level simulation at all.
-func (s *Server) runModel(_ context.Context, in simInputs) (*ModelResult, error) {
-	_, soa, err := s.sharedTrace(in.wc, in.insts)
+// overlay, with no cycle-level simulation at all. The model set's window
+// ladder ends at the machine's own ROB.
+func (s *Server) runModel(ctx context.Context, in simInputs) (*ModelResult, error) {
+	exec, err := s.executor(in, engine.Spec{Mode: engine.ModeModel, Insts: in.insts, Warmup: in.warmup}, in.cfg.ROBSize)
 	if err != nil {
 		return nil, err
 	}
-	ov, err := s.overlayFor(soa, in.cfg.Pred, in.cfg.Mem, in.cfg.VPred)
+	r, err := exec.Run(ctx, in.cfg)
 	if err != nil {
 		return nil, err
 	}
-	set, err := core.NewModelSet(soa, ov, in.cfg, in.cfg.ROBSize, in.warmup, in.insts)
-	if err != nil {
-		return nil, err
-	}
-	m, prof, err := set.For(in.cfg)
-	if err != nil {
-		return nil, err
-	}
-	pred, err := m.PredictCPI(prof)
-	if err != nil {
-		return nil, err
-	}
-	pen, err := modelPenalty(m, prof)
-	if err != nil {
-		return nil, err
-	}
-	insts := float64(pred.Insts)
-	out := &ModelResult{
+	return &ModelResult{
 		Benchmark:            in.wc.Name,
 		Machine:              in.cfg.Name,
-		Insts:                pred.Insts,
-		CPI:                  pred.CPI(),
-		CPIBase:              pred.Base / insts,
-		CPIBpred:             pred.Bpred / insts,
-		CPIICache:            pred.ICache / insts,
-		CPILongData:          pred.LongData / insts,
-		CPIVMisspec:          pred.VMisspec / insts,
-		AvgMispredictPenalty: pen,
-	}
-	if out.CPI > 0 {
-		out.IPC = 1 / out.CPI
-	}
-	return out, nil
-}
-
-// modelPenalty is the model's mean misprediction penalty over the profiled
-// interval structure (the same aggregation cmd/sweep's model mode reports).
-func modelPenalty(m *core.Model, prof *core.Profile) (float64, error) {
-	ivs, err := core.Segment(prof.Events, prof.Insts)
-	if err != nil {
-		return 0, err
-	}
-	var pen, n float64
-	for _, iv := range ivs {
-		if !iv.Final && iv.Kind == uarch.EvBranchMispredict {
-			pen += m.MispredictPenalty(iv.Len() - 1)
-			n++
-		}
-	}
-	if n > 0 {
-		pen /= n
-	}
-	return pen, nil
+		Insts:                r.Prediction.Insts,
+		IPC:                  r.IPC,
+		CPI:                  r.Prediction.CPI(),
+		CPIBase:              r.Stack.Base,
+		CPIBpred:             r.Stack.Bpred,
+		CPIICache:            r.Stack.ICache,
+		CPILongData:          r.Stack.LongData,
+		CPIVMisspec:          r.Stack.VMisspec,
+		AvgMispredictPenalty: r.AvgPenalty,
+	}, nil
 }
 
 // ---- handlers ----
@@ -627,15 +578,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // ---- sweep streaming ----
 
-// sweepInputs is a resolved sweep request.
+// sweepInputs is a resolved sweep request: the grid's points plus the axes
+// and preset names its durable identity is built from.
 type sweepInputs struct {
-	simInputs
+	pointInputs
 	widths, depths, robs []int
 	pred                 string // predictor preset name ("" = baseline)
 	vpred                string // value-predictor preset name ("" = none)
-	mode                 string
-	sampleDetailed       uint64
-	sampleSkip           uint64
 }
 
 func (s *Server) resolveSweep(req *SweepRequest) (sweepInputs, error) {
@@ -650,18 +599,16 @@ func (s *Server) resolveSweep(req *SweepRequest) (sweepInputs, error) {
 	if err != nil {
 		return sweepInputs{}, err
 	}
-	in := sweepInputs{
-		simInputs: base, widths: req.Widths, depths: req.Depths, robs: req.ROBs,
-		pred: req.Pred, vpred: req.VPred,
-	}
+	in := sweepInputs{widths: req.Widths, depths: req.Depths, robs: req.ROBs, pred: req.Pred, vpred: req.VPred}
+	widths, depths, robs := experiments.DefaultGrid()
 	if len(in.widths) == 0 {
-		in.widths = []int{2, 4, 8}
+		in.widths = widths
 	}
 	if len(in.depths) == 0 {
-		in.depths = []int{3, 7, 11}
+		in.depths = depths
 	}
 	if len(in.robs) == 0 {
-		in.robs = []int{64, 128, 256}
+		in.robs = robs
 	}
 	for _, axis := range [][]int{in.widths, in.depths, in.robs} {
 		for _, v := range axis {
@@ -670,37 +617,50 @@ func (s *Server) resolveSweep(req *SweepRequest) (sweepInputs, error) {
 			}
 		}
 	}
-	if n := len(in.widths) * len(in.depths) * len(in.robs); n > s.opts.MaxSweepPoints {
-		return sweepInputs{}, fmt.Errorf("%w: %d points exceeds the %d-point cap", errBadRequest, n, s.opts.MaxSweepPoints)
+	// Check the cap before enumerating: the axes are small, their product
+	// need not be.
+	if err := s.checkPointCap(len(in.widths) * len(in.depths) * len(in.robs)); err != nil {
+		return sweepInputs{}, err
 	}
-	for _, width := range in.widths {
-		for _, depth := range in.depths {
-			for _, rob := range in.robs {
-				if err := pointConfig(in.cfg, width, depth, rob).Validate(); err != nil {
-					return sweepInputs{}, fmt.Errorf("%w: %v", errBadRequest, err)
-				}
+	in.pointInputs, err = s.resolvePoints(base, gridPoints(in.widths, in.depths, in.robs),
+		req.Mode, false, req.SampleDetailed, req.SampleSkip, false)
+	return in, err
+}
+
+// gridPoints enumerates a grid in canonical (width, depth, rob) order; each
+// point's seq is its canonical index.
+func gridPoints(widths, depths, robs []int) []BatchPointSpec {
+	points := make([]BatchPointSpec, 0, len(widths)*len(depths)*len(robs))
+	for _, width := range widths {
+		for _, depth := range depths {
+			for _, rob := range robs {
+				points = append(points, BatchPointSpec{Seq: len(points), Width: width, Depth: depth, ROB: rob})
 			}
 		}
 	}
-	in.mode = req.Mode
-	if in.mode == "" {
-		in.mode = "sim"
+	return points
+}
+
+// sweepLine maps one point's answer onto its /v1/sweep line (also the
+// durable sweep job's journal record).
+func sweepLine(sp BatchPointSpec, r engine.Result, err error, outcome string) SweepPoint {
+	p := SweepPoint{Seq: sp.Seq, Width: sp.Width, Depth: sp.Depth, ROB: sp.ROB}
+	if err != nil {
+		p.Error, p.Outcome = err.Error(), outcome
+		return p
 	}
-	if in.mode != "sim" && in.mode != "sampled" && in.mode != "model" {
-		return sweepInputs{}, fmt.Errorf("%w: unknown mode %q (want sim, sampled or model)", errBadRequest, in.mode)
-	}
-	in.sampleDetailed, in.sampleSkip = req.SampleDetailed, req.SampleSkip
-	if in.mode == "sampled" && (in.sampleDetailed == 0 || in.sampleSkip == 0) {
-		return sweepInputs{}, fmt.Errorf("%w: sampled mode needs positive sample_detailed and sample_skip", errBadRequest)
-	}
-	return in, nil
+	p.IPC, p.AvgMispredictPenalty, p.Cycles = r.IPC, r.AvgPenalty, r.Cycles
+	p.CPIBase, p.CPIBpred, p.CPIICache = r.Stack.Base, r.Stack.Bpred, r.Stack.ICache
+	p.CPILongData, p.CPIVMisspec = r.Stack.LongData, r.Stack.VMisspec
+	p.CPI, p.CPILo, p.CPIHi, p.CPIRelErr = r.CPI.Mean, r.CPI.Lower, r.CPI.Upper, r.CPI.RelErr
+	p.SampleUnits, p.Path, p.Fallback = r.Units, r.Path, r.Fallback
+	return p
 }
 
 // handleSweep streams a design-space sweep as NDJSON: one SweepPoint line
-// per grid point in completion order, then a SweepTrailer. The shared trace
-// and overlay are resolved once up front (so a second identical sweep is
-// pure cache hits); each point then runs as its own pool task, applying the
-// same backpressure as every other job.
+// per grid point in completion order (seq is the canonical grid index),
+// then a SweepTrailer. The grid runs through the same streaming path as
+// /v1/batch, under the request's tenant and priority.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	var req SweepRequest
@@ -718,216 +678,5 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.reject(w, http.StatusBadRequest, err, outcomeBadInput)
 		return
 	}
-
-	// Shared artifacts, once per sweep — and across sweeps via the caches.
-	// Sampled sweeps never compute an overlay: replay does not apply to
-	// fast-forwarded runs.
-	_, soa, err := s.sharedTrace(in.wc, in.insts)
-	if err != nil {
-		s.reject(w, http.StatusInternalServerError, err, outcomeError)
-		return
-	}
-	// Speculation artifacts follow the request's resolved predictor (the
-	// baseline unless the sweep names a preset), so every predictor kind
-	// gets its own memoized overlay and model.
-	var ov *overlay.Overlay
-	if in.mode != "sampled" {
-		if ov, err = s.overlayFor(soa, in.cfg.Pred, in.cfg.Mem, in.cfg.VPred); err != nil {
-			s.reject(w, http.StatusInternalServerError, err, outcomeError)
-			return
-		}
-	}
-	var set *core.ModelSet
-	if in.mode == "model" {
-		maxROB := 2
-		for _, rob := range in.robs {
-			if rob > maxROB {
-				maxROB = rob
-			}
-		}
-		set, err = core.NewModelSet(soa, ov, in.cfg, maxROB, in.warmup, in.insts)
-		if err != nil {
-			s.reject(w, http.StatusInternalServerError, err, outcomeError)
-			return
-		}
-	}
-
-	// Enumerate the grid in canonical order; Seq is the canonical index.
-	type gridPoint struct {
-		seq               int
-		width, depth, rob int
-	}
-	var points []gridPoint
-	for _, width := range in.widths {
-		for _, depth := range in.depths {
-			for _, rob := range in.robs {
-				points = append(points, gridPoint{len(points), width, depth, rob})
-			}
-		}
-	}
-
-	// Admission check before committing to a stream: if the queue cannot
-	// take even one point now, turn the whole sweep away.
-	if ps := s.pool.Stats(); ps.Queued >= ps.Capacity {
-		w.Header().Set("Retry-After", s.retryAfter())
-		s.reject(w, http.StatusTooManyRequests, ErrQueueFull, outcomeRejected)
-		return
-	}
-
-	lines := make(chan SweepPoint, len(points))
-	var wg sync.WaitGroup
-	wg.Add(len(points))
-	go func() {
-		wg.Wait()
-		close(lines)
-	}()
-
-	// Submit every point; later points block for queue space (backpressure)
-	// rather than failing mid-stream.
-	go func() {
-		for _, pt := range points {
-			pt := pt
-			cfg := pointConfig(in.cfg, pt.width, pt.depth, pt.rob)
-			line := SweepPoint{Seq: pt.seq, Width: pt.width, Depth: pt.depth, ROB: pt.rob}
-			t := &task{
-				name:     fmt.Sprintf("sweep-%s-%s", in.wc.Name, cfg.Name),
-				timeout:  in.timeout,
-				priority: priority,
-				tenant:   tenant,
-				// A dropped connection must stop the sweep's work, not
-				// just its output: queued points are skipped and running
-				// ones canceled, freeing the worker slots promptly.
-				parent: r.Context(),
-				run: func(ctx context.Context) error {
-					switch in.mode {
-					case "model":
-						return s.modelSweepPoint(cfg, set, &line)
-					case "sampled":
-						return s.sampledSweepPoint(ctx, soa, cfg, in, &line)
-					default:
-						return s.simSweepPoint(ctx, soa, ov, cfg, in.warmup, &line)
-					}
-				},
-				finish: func(err error, d time.Duration) {
-					outcome := classify(err)
-					s.metrics.observe(outcome, d)
-					if err != nil {
-						// Do not touch line on failure: an abandoned run may
-						// still be writing it. Emit a fresh error point.
-						lines <- SweepPoint{
-							Seq: pt.seq, Width: pt.width, Depth: pt.depth, ROB: pt.rob,
-							Error: err.Error(), Outcome: outcome,
-						}
-					} else {
-						lines <- line
-					}
-					wg.Done()
-				},
-			}
-			if err := s.pool.SubmitWait(r.Context(), t); err != nil {
-				outcome := classify(err)
-				s.metrics.count(outcome)
-				lines <- SweepPoint{
-					Seq: pt.seq, Width: pt.width, Depth: pt.depth, ROB: pt.rob,
-					Error: err.Error(), Outcome: outcome,
-				}
-				wg.Done()
-			}
-		}
-	}()
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	ok, failed := 0, 0
-	for line := range lines {
-		if line.Error == "" {
-			ok++
-		} else {
-			failed++
-		}
-		enc.Encode(line) //nolint:errcheck // keep draining for the finishers
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	enc.Encode(SweepTrailer{ //nolint:errcheck
-		Done: true, Points: len(points), OK: ok, Failed: failed,
-		Mode: in.mode, Elapsed: time.Since(start).Round(time.Millisecond).String(),
-	})
-}
-
-// simSweepPoint runs one cycle-level grid point into line.
-func (s *Server) simSweepPoint(ctx context.Context, soa *trace.SoA, ov *overlay.Overlay, cfg uarch.Config, warmup uint64, line *SweepPoint) error {
-	res, err := uarch.RunContext(ctx, soa.Reader(), cfg, uarch.Options{
-		RecordMispredicts: true,
-		WarmupInsts:       warmup,
-		Overlay:           ov,
-	})
-	if err != nil {
-		return err
-	}
-	line.IPC = res.IPC()
-	line.AvgMispredictPenalty = res.AvgMispredictPenalty()
-	line.Cycles = res.Cycles
-	line.Path = res.Path
-	line.Fallback = res.Fallback
-	return nil
-}
-
-// sampledSweepPoint runs one grid point under systematic sampling into line:
-// the ratio-estimator CPI with its confidence interval instead of the
-// penalty statistics. The sweep's warmup is the initial functional skip.
-func (s *Server) sampledSweepPoint(ctx context.Context, soa *trace.SoA, cfg uarch.Config, in sweepInputs, line *SweepPoint) error {
-	res, err := uarch.RunContext(ctx, soa.Reader(), cfg, uarch.Options{
-		SampleStartSkip: in.warmup,
-		SampleDetailed:  in.sampleDetailed,
-		SampleSkip:      in.sampleSkip,
-	})
-	if err != nil {
-		return err
-	}
-	st := res.Sample
-	if st == nil {
-		return fmt.Errorf("%s: sampled run carries no sample statistics", cfg.Name)
-	}
-	line.IPC = res.IPC()
-	line.Cycles = res.Cycles
-	line.Path = res.Path
-	line.Fallback = res.Fallback
-	line.CPI = st.CPI.Mean
-	line.CPILo = st.CPI.Lower
-	line.CPIHi = st.CPI.Upper
-	line.CPIRelErr = st.CPI.RelErr
-	line.SampleUnits = st.Units
-	return nil
-}
-
-// modelSweepPoint evaluates one analytic-model grid point into line.
-func (s *Server) modelSweepPoint(cfg uarch.Config, set *core.ModelSet, line *SweepPoint) error {
-	m, prof, err := set.For(cfg)
-	if err != nil {
-		return err
-	}
-	pred, err := m.PredictCPI(prof)
-	if err != nil {
-		return err
-	}
-	pen, err := modelPenalty(m, prof)
-	if err != nil {
-		return err
-	}
-	insts := float64(pred.Insts)
-	line.CPIBase = pred.Base / insts
-	line.CPIBpred = pred.Bpred / insts
-	line.CPIICache = pred.ICache / insts
-	line.CPILongData = pred.LongData / insts
-	line.CPIVMisspec = pred.VMisspec / insts
-	line.AvgMispredictPenalty = pen
-	if cpi := pred.CPI(); cpi > 0 {
-		line.IPC = 1 / cpi
-	}
-	line.Path = "model"
-	return nil
+	streamPoints(s, w, r, start, in.pointInputs, streamTasks{name: "sweep", priority: priority, tenant: tenant}, sweepLine)
 }

@@ -10,8 +10,7 @@ import (
 	"sync"
 	"time"
 
-	"intervalsim/internal/core"
-	"intervalsim/internal/overlay"
+	"intervalsim/internal/engine"
 	"intervalsim/internal/store"
 	"intervalsim/internal/workload"
 )
@@ -117,8 +116,8 @@ func (s *Server) handleSweepJobSubmit(w http.ResponseWriter, r *http.Request) {
 	if _, ok, gerr := s.opts.Store.Get(csvKey(id)); gerr == nil && ok {
 		s.metrics.count(outcomeCached)
 		writeJSON(w, http.StatusOK, s.jobs.completeCached(id, "sweep", mustJSON(SweepJobResult{
-			Points:  len(in.widths) * len(in.depths) * len(in.robs),
-			Mode:    in.mode,
+			Points:  len(in.points),
+			Mode:    in.spec.Mode,
 			CSVPath: "/v1/sweepjobs/" + id + "/csv",
 		})))
 		return
@@ -140,9 +139,9 @@ func (s *Server) handleSweepJobSubmit(w http.ResponseWriter, r *http.Request) {
 		Pred:           in.pred,
 		VPred:          in.vpred,
 		FetchRate:      in.cfg.FetchRate,
-		Mode:           in.mode,
-		SampleDetailed: in.sampleDetailed,
-		SampleSkip:     in.sampleSkip,
+		Mode:           in.spec.Mode,
+		SampleDetailed: in.spec.SampleDetailed,
+		SampleSkip:     in.spec.SampleSkip,
 		TimeoutMS:      req.TimeoutMS,
 		Tenant:         tenant,
 		Priority:       priority,
@@ -273,48 +272,17 @@ func (s *Server) runSweepJob(id string, j *store.Log, spec sweepJobSpec, in swee
 	}
 
 	// Shared artifacts, exactly as the streaming sweep resolves them.
-	_, soa, err := s.sharedTrace(in.wc, in.insts)
+	exec, err := s.executor(in.simInputs, in.spec, in.maxROB())
 	if err != nil {
 		failJob(err)
 		return
 	}
-	var ov *overlay.Overlay
-	if in.mode != "sampled" {
-		if ov, err = s.overlayFor(soa, in.cfg.Pred, in.cfg.Mem, in.cfg.VPred); err != nil {
-			failJob(err)
-			return
-		}
-	}
-	var set *core.ModelSet
-	if in.mode == "model" {
-		maxROB := 2
-		for _, rob := range in.robs {
-			if rob > maxROB {
-				maxROB = rob
-			}
-		}
-		set, err = core.NewModelSet(soa, ov, in.cfg, maxROB, in.warmup, in.insts)
-		if err != nil {
-			failJob(err)
-			return
-		}
-	}
 
-	type gridPoint struct {
-		seq               int
-		width, depth, rob int
-	}
-	var todo []gridPoint
-	total := 0
-	for _, width := range in.widths {
-		for _, depth := range in.depths {
-			for _, rob := range in.robs {
-				seq := total
-				total++
-				if _, ok := done[seq]; !ok {
-					todo = append(todo, gridPoint{seq, width, depth, rob})
-				}
-			}
+	// Pick the remainder before submitting: finishers write done.
+	var todo []BatchPointSpec
+	for _, sp := range in.points {
+		if _, ok := done[sp.Seq]; !ok {
+			todo = append(todo, sp)
 		}
 	}
 
@@ -324,24 +292,17 @@ func (s *Server) runSweepJob(id string, j *store.Log, spec sweepJobSpec, in swee
 		wg     sync.WaitGroup
 	)
 	wg.Add(len(todo))
-	for _, pt := range todo {
-		pt := pt
-		cfg := pointConfig(in.cfg, pt.width, pt.depth, pt.rob)
-		line := SweepPoint{Seq: pt.seq, Width: pt.width, Depth: pt.depth, ROB: pt.rob}
+	for _, sp := range todo {
+		cfg := pointConfig(in.cfg, sp.Width, sp.Depth, sp.ROB)
+		var res engine.Result
 		t := &task{
-			name:     fmt.Sprintf("sweepjob-%s-%d", id, pt.seq),
+			name:     fmt.Sprintf("sweepjob-%s-%d", id, sp.Seq),
 			timeout:  in.timeout,
 			priority: spec.Priority,
 			tenant:   spec.Tenant,
-			run: func(ctx context.Context) error {
-				switch in.mode {
-				case "model":
-					return s.modelSweepPoint(cfg, set, &line)
-				case "sampled":
-					return s.sampledSweepPoint(ctx, soa, cfg, in, &line)
-				default:
-					return s.simSweepPoint(ctx, soa, ov, cfg, in.warmup, &line)
-				}
+			run: func(ctx context.Context) (err error) {
+				res, err = exec.Run(ctx, cfg)
+				return err
 			},
 			finish: func(err error, d time.Duration) {
 				defer wg.Done()
@@ -354,11 +315,12 @@ func (s *Server) runSweepJob(id string, j *store.Log, spec sweepJobSpec, in swee
 				}
 				// Commit-before-count: the point only becomes durable state
 				// once its journal record is fsync'd.
+				line := sweepLine(sp, res, nil, "")
 				if _, jerr := j.Append(store.JournalPoint, mustJSON(line)); jerr != nil {
 					failed++
 					return
 				}
-				done[pt.seq] = line
+				done[sp.Seq] = line
 			},
 		}
 		if err := s.pool.SubmitWait(context.Background(), t); err != nil {
@@ -371,6 +333,7 @@ func (s *Server) runSweepJob(id string, j *store.Log, spec sweepJobSpec, in swee
 	}
 	wg.Wait()
 
+	total := len(in.points)
 	if failed > 0 {
 		failJob(fmt.Errorf("service: %d of %d sweep points failed; %d committed points will resume on retry",
 			failed, total, len(done)))
@@ -380,7 +343,7 @@ func (s *Server) runSweepJob(id string, j *store.Log, spec sweepJobSpec, in swee
 	// Artifact first, then Done, then retire the journal: every crash window
 	// leaves a state recovery handles (re-putting the identical artifact is
 	// idempotent; a journal with Done just gets removed).
-	csv := buildSweepCSV(in.mode, done)
+	csv := buildSweepCSV(in.spec.Mode, done)
 	if err := st.Put(csvKey(id), csv); err != nil {
 		failJob(err)
 		return
@@ -393,7 +356,7 @@ func (s *Server) runSweepJob(id string, j *store.Log, spec sweepJobSpec, in swee
 	st.RemoveJournal(id) //nolint:errcheck // a leftover journal is re-retired on next open
 	s.jobs.setResult(id, mustJSON(SweepJobResult{
 		Points:  total,
-		Mode:    in.mode,
+		Mode:    in.spec.Mode,
 		CSVPath: "/v1/sweepjobs/" + id + "/csv",
 	}))
 	s.jobs.markFinished(id, outcomeOK, "", time.Since(start))
