@@ -368,14 +368,15 @@ func BenchmarkCacheAccess(b *testing.B) {
 
 func BenchmarkCriticalPath(b *testing.B) {
 	wc, _ := workload.SuiteConfig("crafty")
-	tr, err := trace.ReadAll(workload.MustNew(wc, 4096))
+	soa, err := trace.PackReader(workload.MustNew(wc, 4096))
 	if err != nil {
 		b.Fatal(err)
 	}
-	window := tr.Insts[:128]
+	scratch := make(ilp.Scratch, 128)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ilp.CriticalPathTo(window, ilp.UnitLatency)
+		scratch.CriticalPathTo(soa, 0, 128, ilp.UnitLatency)
 	}
 }
 

@@ -83,15 +83,13 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		cfg.Pred.Kind = *pred
 	}
 
-	tr, name, err := loadTrace(*bench, *traceFile, *insts)
+	soa, name, err := loadTrace(*bench, *traceFile, *insts)
 	if err != nil {
 		fail(stderr, err)
 		return 1
 	}
 
-	// Pack into the struct-of-arrays layout so the simulator takes its
-	// allocation-free fast path (precomputed dependence metadata).
-	res, err := uarch.Run(trace.Pack(tr).Reader(), cfg, uarch.Options{
+	res, err := uarch.Run(soa.Reader(), cfg, uarch.Options{
 		RecordEvents:      true,
 		RecordMispredicts: true,
 		RecordLoadLevels:  true,
@@ -101,13 +99,13 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		fail(stderr, err)
 		return 1
 	}
-	if err := printReport(stdout, name, tr, res, cfg); err != nil {
+	if err := printReport(stdout, name, soa, res, cfg); err != nil {
 		fail(stderr, err)
 		return 1
 	}
 	if *topBranches > 0 {
 		fmt.Fprintln(stdout)
-		if err := printTopBranches(stdout, tr, res, *topBranches); err != nil {
+		if err := printTopBranches(stdout, soa, res, *topBranches); err != nil {
 			fail(stderr, err)
 			return 1
 		}
@@ -117,8 +115,8 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 
 // printTopBranches lists the static branches responsible for the most
 // misprediction cycles — the paper's motivating use case.
-func printTopBranches(w io.Writer, tr *trace.Trace, res *uarch.Result, n int) error {
-	costs := core.CostliestBranches(tr, res, n)
+func printTopBranches(w io.Writer, soa *trace.SoA, res *uarch.Result, n int) error {
+	costs := core.CostliestBranches(soa, res, n)
 	t := report.New(fmt.Sprintf("top %d costliest static branches", len(costs)),
 		"pc", "mispredicts", "total cycles", "avg penalty")
 	for _, c := range costs {
@@ -131,14 +129,17 @@ func printTopBranches(w io.Writer, tr *trace.Trace, res *uarch.Result, n int) er
 	return t.Fprint(w)
 }
 
-func loadTrace(bench, traceFile string, insts int) (*trace.Trace, string, error) {
+// loadTrace returns the benchmark or trace file packed into the
+// struct-of-arrays layout: the simulator's allocation-free fast path and the
+// penalty decomposition both read its precomputed dependence metadata.
+func loadTrace(bench, traceFile string, insts int) (*trace.SoA, string, error) {
 	if bench != "" {
 		wc, ok := workload.SuiteConfig(bench)
 		if !ok {
 			return nil, "", fmt.Errorf("unknown benchmark %q", bench)
 		}
-		tr, err := trace.ReadAll(workload.MustNew(wc, insts))
-		return tr, bench, err
+		soa, err := trace.PackReader(workload.MustNew(wc, insts))
+		return soa, bench, err
 	}
 	f, err := os.Open(traceFile)
 	if err != nil {
@@ -146,14 +147,17 @@ func loadTrace(bench, traceFile string, insts int) (*trace.Trace, string, error)
 	}
 	defer f.Close()
 	tr, err := trace.Read(f)
-	return tr, traceFile, err
+	if err != nil {
+		return nil, "", err
+	}
+	return trace.Pack(tr), traceFile, nil
 }
 
-func printReport(w io.Writer, name string, tr *trace.Trace, res *uarch.Result, cfg uarch.Config) error {
+func printReport(w io.Writer, name string, soa *trace.SoA, res *uarch.Result, cfg uarch.Config) error {
 	perKI := func(n uint64) float64 { return float64(n) / float64(res.Insts) * 1000 }
 
 	t := report.New(fmt.Sprintf("%s on %s (%d insts measured, %d warmup)",
-		name, cfg.Name, res.Insts, tr.Len()-int(res.Insts)),
+		name, cfg.Name, res.Insts, soa.Len()-int(res.Insts)),
 		"metric", "value")
 	t.AddRow("cycles", fmt.Sprintf("%d", res.Cycles))
 	t.AddRow("IPC / CPI", fmt.Sprintf("%.3f / %.3f", res.IPC(), res.CPI()))
@@ -169,7 +173,7 @@ func printReport(w io.Writer, name string, tr *trace.Trace, res *uarch.Result, c
 	}
 	fmt.Fprintln(w)
 
-	ivs, err := core.Segment(res.Events, uint64(tr.Len()))
+	ivs, err := core.Segment(res.Events, uint64(soa.Len()))
 	if err != nil {
 		return err
 	}
@@ -185,7 +189,7 @@ func printReport(w io.Writer, name string, tr *trace.Trace, res *uarch.Result, c
 	}
 	fmt.Fprintln(w)
 
-	dec, err := core.NewDecomposer(tr, res)
+	dec, err := core.NewPackedDecomposer(soa, res)
 	if err != nil {
 		return err
 	}

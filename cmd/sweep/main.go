@@ -322,7 +322,7 @@ func run(ctx context.Context, stdout, stderr io.Writer, wc workload.Config, p sw
 	}
 	base.FetchRate = p.fetchRate
 	_, _, robs := experiments.DefaultGrid()
-	exec, err := engine.New(p.spec, base, robs[len(robs)-1], nil, soa, overlay.Shared.GetSpec)
+	exec, err := engine.New(p.spec, base, robs[len(robs)-1], soa, overlay.Shared.GetSpec)
 	if err != nil {
 		return err
 	}

@@ -109,7 +109,7 @@ func TestDistributedSweepMatchesReference(t *testing.T) {
 	}
 
 	wc, _ := workload.SuiteConfig("gzip")
-	tr, soa, err := experiments.SharedTrace(wc, insts)
+	soa, err := experiments.SharedTrace(wc, insts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestDistributedSweepMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			dec, err := core.NewDecomposer(tr, res)
+			dec, err := core.NewPackedDecomposer(soa, res)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -39,7 +39,7 @@ func main() {
 	if err := wl.Validate(); err != nil {
 		log.Fatal(err)
 	}
-	tr, err := trace.ReadAll(workload.MustNew(wl, 400_000))
+	soa, err := trace.PackReader(workload.MustNew(wl, 400_000))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func main() {
 	t := report.New("one workload, two machines",
 		"machine", "IPC", "avg penalty", "frontend", "drain+FU+D$", "residual")
 	for _, cfg := range []uarch.Config{narrowDeep, wideShallow} {
-		res, err := uarch.Run(tr.Reader(), cfg, uarch.Options{
+		res, err := uarch.Run(soa.Reader(), cfg, uarch.Options{
 			RecordEvents:      true,
 			RecordMispredicts: true,
 			RecordLoadLevels:  true,
@@ -60,7 +60,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		dec, err := core.NewDecomposer(tr, res)
+		dec, err := core.NewPackedDecomposer(soa, res)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -28,14 +28,14 @@ func main() {
 		log.Fatal("benchmark not found")
 	}
 	cfg := uarch.Baseline()
-	tr, err := trace.ReadAll(workload.MustNew(wc, insts))
+	soa, err := trace.PackReader(workload.MustNew(wc, insts))
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// Step 1 — fast functional profile: drive only the branch predictor and
 	// the caches over the trace to collect the miss-event population.
-	prof, err := core.FunctionalProfile(tr.Reader(), cfg, warmup, 0)
+	prof, err := core.FunctionalProfile(soa.Reader(), cfg, warmup, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -44,8 +44,7 @@ func main() {
 
 	// Step 2 — ILP characteristics: critical-path statistics of the program
 	// under unit and machine latencies, plus the branch-resolution curve.
-	model, err := core.BuildModel(func() trace.Reader { return tr.Reader() },
-		cfg, prof.ShortMissRatio(), insts)
+	model, err := core.BuildModel(soa, cfg, prof.ShortMissRatio(), insts)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -62,7 +61,7 @@ func main() {
 	}
 
 	// Step 4 — the expensive ground truth: cycle-level simulation.
-	res, err := uarch.Run(tr.Reader(), cfg, uarch.Options{WarmupInsts: warmup})
+	res, err := uarch.Run(soa.Reader(), cfg, uarch.Options{WarmupInsts: warmup})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -28,11 +28,11 @@ func main() {
 		if !ok {
 			log.Fatalf("benchmark %s not found", name)
 		}
-		tr, err := trace.ReadAll(workload.MustNew(wc, 400_000))
+		soa, err := trace.PackReader(workload.MustNew(wc, 400_000))
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := uarch.Run(tr.Reader(), cfg, uarch.Options{
+		res, err := uarch.Run(soa.Reader(), cfg, uarch.Options{
 			RecordEvents:      true,
 			RecordMispredicts: true,
 			RecordLoadLevels:  true, // required by the decomposer
@@ -41,7 +41,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		dec, err := core.NewDecomposer(tr, res)
+		dec, err := core.NewPackedDecomposer(soa, res)
 		if err != nil {
 			log.Fatal(err)
 		}

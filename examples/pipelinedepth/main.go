@@ -25,7 +25,7 @@ func main() {
 	if !ok {
 		log.Fatal("benchmark not found")
 	}
-	tr, err := trace.ReadAll(workload.MustNew(wc, 400_000))
+	soa, err := trace.PackReader(workload.MustNew(wc, 400_000))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func main() {
 		cfg := uarch.Baseline()
 		cfg.FrontendDepth = depth
 
-		res, err := uarch.Run(tr.Reader(), cfg, uarch.Options{
+		res, err := uarch.Run(soa.Reader(), cfg, uarch.Options{
 			RecordMispredicts: true,
 			WarmupInsts:       100_000,
 		})
@@ -46,12 +46,11 @@ func main() {
 
 		// The analytic side needs only a functional profile (predictor +
 		// caches, no timing) and the program's ILP characteristic.
-		prof, err := core.FunctionalProfile(tr.Reader(), cfg, 100_000, 0)
+		prof, err := core.FunctionalProfile(soa.Reader(), cfg, 100_000, 0)
 		if err != nil {
 			log.Fatal(err)
 		}
-		model, err := core.BuildModel(func() trace.Reader { return tr.Reader() },
-			cfg, prof.ShortMissRatio(), tr.Len())
+		model, err := core.BuildModel(soa, cfg, prof.ShortMissRatio(), soa.Len())
 		if err != nil {
 			log.Fatal(err)
 		}

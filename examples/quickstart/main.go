@@ -24,14 +24,14 @@ func main() {
 	if !ok {
 		log.Fatal("benchmark not found")
 	}
-	tr, err := trace.ReadAll(workload.MustNew(wc, 500_000))
+	soa, err := trace.PackReader(workload.MustNew(wc, 500_000))
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// The paper's 4-wide baseline processor with a 5-stage frontend.
 	cfg := uarch.Baseline()
-	res, err := uarch.Run(tr.Reader(), cfg, uarch.Options{
+	res, err := uarch.Run(soa.Reader(), cfg, uarch.Options{
 		RecordEvents:      true,
 		RecordMispredicts: true,
 		WarmupInsts:       100_000,
@@ -46,7 +46,7 @@ func main() {
 		res.Mispredicts, float64(res.Mispredicts)/float64(res.Insts)*1000)
 
 	// Interval analysis: execution as a sequence of inter-miss intervals.
-	intervals, err := core.Segment(res.Events, uint64(tr.Len()))
+	intervals, err := core.Segment(res.Events, uint64(soa.Len()))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -47,7 +47,7 @@ func referenceCSV(t *testing.T, bench string, widths, depths, robs []int, insts 
 	if !ok {
 		t.Fatalf("unknown benchmark %q", bench)
 	}
-	tr, soa, err := experiments.SharedTrace(wc, insts)
+	soa, err := experiments.SharedTrace(wc, insts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func referenceCSV(t *testing.T, bench string, widths, depths, robs []int, insts 
 				if err != nil {
 					t.Fatal(err)
 				}
-				dec, err := core.NewDecomposer(tr, res)
+				dec, err := core.NewPackedDecomposer(soa, res)
 				if err != nil {
 					t.Fatal(err)
 				}

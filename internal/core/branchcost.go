@@ -31,14 +31,14 @@ func (b BranchCost) AvgPenalty() float64 {
 // CostliestBranches attributes every recorded misprediction penalty to its
 // static branch and returns the top k branches by total penalty (all of
 // them if k <= 0), descending. Ties break on PC for determinism.
-func CostliestBranches(tr *trace.Trace, res *uarch.Result, k int) []BranchCost {
+func CostliestBranches(soa *trace.SoA, res *uarch.Result, k int) []BranchCost {
 	byPC := make(map[uint64]*BranchCost)
 	for _, rec := range res.Records {
 		p := rec.Penalty()
-		if p <= 0 || rec.Index >= uint64(len(tr.Insts)) {
+		if p <= 0 || rec.Index >= uint64(soa.Len()) {
 			continue
 		}
-		pc := tr.Insts[rec.Index].PC
+		pc := soa.PC[rec.Index]
 		c := byPC[pc]
 		if c == nil {
 			c = &BranchCost{PC: pc}
@@ -63,18 +63,19 @@ func CostliestBranches(tr *trace.Trace, res *uarch.Result, k int) []BranchCost {
 	return out
 }
 
-// Predicate returns a copy of tr in which every conditional branch at one of
-// the given PCs is replaced by a plain ALU operation on the same source
-// register. This models idealized if-conversion: the control dependence
-// becomes a data dependence, so the branch can no longer mispredict — but
-// note the trace keeps the taken path's instructions only, so the
-// both-paths execution overhead of real predication is not charged (an
-// optimistic bound, which is how such studies use it).
-func Predicate(tr *trace.Trace, pcs map[uint64]bool) *trace.Trace {
-	out := &trace.Trace{Insts: make([]isa.Inst, len(tr.Insts))}
-	copy(out.Insts, tr.Insts)
-	for i := range out.Insts {
-		in := &out.Insts[i]
+// Predicate returns a packed copy of soa in which every conditional branch
+// at one of the given PCs is replaced by a plain ALU operation on the same
+// source register. This models idealized if-conversion: the control
+// dependence becomes a data dependence, so the branch can no longer
+// mispredict — but note the trace keeps the taken path's instructions only,
+// so the both-paths execution overhead of real predication is not charged
+// (an optimistic bound, which is how such studies use it). The rewrite
+// changes destination registers, so the copy is re-packed to re-derive its
+// producer indices.
+func Predicate(soa *trace.SoA, pcs map[uint64]bool) *trace.SoA {
+	tr := soa.Unpack()
+	for i := range tr.Insts {
+		in := &tr.Insts[i]
 		if in.Class == isa.Branch && pcs[in.PC] {
 			in.Class = isa.IntALU
 			in.Taken = false
@@ -82,5 +83,5 @@ func Predicate(tr *trace.Trace, pcs map[uint64]bool) *trace.Trace {
 			in.Dst = isa.NoReg
 		}
 	}
-	return out
+	return trace.Pack(tr)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"intervalsim/internal/isa"
@@ -10,8 +11,8 @@ import (
 )
 
 func TestCostliestBranchesAttribution(t *testing.T) {
-	tr, res := runDetailed(t, testWorkload(), uarch.Baseline())
-	costs := CostliestBranches(tr, res, 0)
+	soa, res := runDetailed(t, testWorkload(), uarch.Baseline())
+	costs := CostliestBranches(soa, res, 0)
 	if len(costs) == 0 {
 		t.Fatal("no branch costs attributed")
 	}
@@ -31,8 +32,8 @@ func TestCostliestBranchesAttribution(t *testing.T) {
 		// The PC must belong to a control transfer in the trace (conditional
 		// branches, or indirect jumps whose BTB misses also redirect fetch).
 		found := false
-		for j := range tr.Insts {
-			if tr.Insts[j].PC == c.PC && tr.Insts[j].Class.IsControl() {
+		for j := range soa.PC {
+			if soa.PC[j] == c.PC && soa.Class(j).IsControl() {
 				found = true
 				break
 			}
@@ -56,7 +57,7 @@ func TestCostliestBranchesAttribution(t *testing.T) {
 		t.Errorf("attribution lost penalties: %v/%d vs %v/%d", sum, count, recSum, recCount)
 	}
 	// Top-k truncation.
-	top3 := CostliestBranches(tr, res, 3)
+	top3 := CostliestBranches(soa, res, 3)
 	if len(top3) != 3 || top3[0] != costs[0] {
 		t.Errorf("top-3 truncation wrong")
 	}
@@ -64,20 +65,20 @@ func TestCostliestBranchesAttribution(t *testing.T) {
 
 func TestPredicateRemovesMispredictions(t *testing.T) {
 	cfg := uarch.Baseline()
-	tr, res := runDetailed(t, testWorkload(), cfg)
-	costs := CostliestBranches(tr, res, 5)
+	soa, res := runDetailed(t, testWorkload(), cfg)
+	costs := CostliestBranches(soa, res, 5)
 	pcs := make(map[uint64]bool)
 	for _, c := range costs {
 		pcs[c.PC] = true
 	}
-	ptr := Predicate(tr, pcs)
-	if ptr.Len() != tr.Len() {
+	ptr := Predicate(soa, pcs)
+	if ptr.Len() != soa.Len() {
 		t.Fatal("predication changed trace length")
 	}
 	// Converted instructions are valid ALU ops; everything else untouched.
 	changed := 0
-	for i := range ptr.Insts {
-		a, b := &tr.Insts[i], &ptr.Insts[i]
+	for i := 0; i < ptr.Len(); i++ {
+		a, b := soa.At(i), ptr.At(i)
 		if pcs[a.PC] && a.Class == isa.Branch {
 			if b.Class != isa.IntALU {
 				t.Fatalf("pc %#x not converted", a.PC)
@@ -86,7 +87,7 @@ func TestPredicateRemovesMispredictions(t *testing.T) {
 				t.Fatalf("converted instruction invalid: %v", err)
 			}
 			changed++
-		} else if *a != *b {
+		} else if a != b {
 			t.Fatalf("untargeted instruction %d modified", i)
 		}
 	}
@@ -102,20 +103,24 @@ func TestPredicateRemovesMispredictions(t *testing.T) {
 		t.Errorf("predication did not reduce mispredictions: %d vs %d", res2.Mispredicts, res.Mispredicts)
 	}
 	// The original trace is untouched.
-	for i := range tr.Insts {
-		if tr.Insts[i].Class == isa.IntALU && pcs[tr.Insts[i].PC] {
+	for i := range soa.PC {
+		if soa.Class(i) == isa.IntALU && pcs[soa.PC[i]] {
 			t.Fatal("Predicate mutated its input")
 		}
+	}
+	// The rewritten records' producer indices are re-derived.
+	if !reflect.DeepEqual(ptr, trace.Pack(ptr.Unpack())) {
+		t.Error("predicated trace's dependence metadata is stale")
 	}
 }
 
 func TestPredicateEmptySetIsIdentity(t *testing.T) {
-	tr, _ := trace.ReadAll(workloadReader(t, 5000))
-	out := Predicate(tr, nil)
-	for i := range tr.Insts {
-		if tr.Insts[i] != out.Insts[i] {
-			t.Fatal("empty predication changed the trace")
-		}
+	soa, err := trace.PackReader(workloadReader(t, 5000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out := Predicate(soa, nil); !reflect.DeepEqual(out, soa) {
+		t.Fatal("empty predication changed the trace")
 	}
 }
 

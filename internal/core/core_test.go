@@ -25,13 +25,13 @@ func testWorkload() workload.Config {
 
 const testLen = 300_000
 
-func runDetailed(t *testing.T, wc workload.Config, cfg uarch.Config) (*trace.Trace, *uarch.Result) {
+func runDetailed(t *testing.T, wc workload.Config, cfg uarch.Config) (*trace.SoA, *uarch.Result) {
 	t.Helper()
-	tr, err := trace.ReadAll(workload.MustNew(wc, testLen))
+	soa, err := trace.PackReader(workload.MustNew(wc, testLen))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := uarch.Run(tr.Reader(), cfg, uarch.Options{
+	res, err := uarch.Run(soa.Reader(), cfg, uarch.Options{
 		RecordEvents:      true,
 		RecordMispredicts: true,
 		RecordLoadLevels:  true,
@@ -39,15 +39,15 @@ func runDetailed(t *testing.T, wc workload.Config, cfg uarch.Config) (*trace.Tra
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tr, res
+	return soa, res
 }
 
 func TestDecompositionIdentityAndSigns(t *testing.T) {
-	tr, res := runDetailed(t, testWorkload(), uarch.Baseline())
+	soa, res := runDetailed(t, testWorkload(), uarch.Baseline())
 	if len(res.Records) < 100 {
 		t.Fatalf("only %d mispredict records", len(res.Records))
 	}
-	d, err := NewDecomposer(tr, res)
+	d, err := NewPackedDecomposer(soa, res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,8 +102,8 @@ func TestMeanEmpty(t *testing.T) {
 }
 
 func TestDrainGrowsWithOccupancy(t *testing.T) {
-	tr, res := runDetailed(t, testWorkload(), uarch.Baseline())
-	d, err := NewDecomposer(tr, res)
+	soa, res := runDetailed(t, testWorkload(), uarch.Baseline())
+	d, err := NewPackedDecomposer(soa, res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,12 +138,12 @@ func TestDrainGrowsWithOccupancy(t *testing.T) {
 func TestFunctionalProfileMatchesDetailedEvents(t *testing.T) {
 	wc := testWorkload()
 	cfg := uarch.Baseline()
-	tr, res := runDetailed(t, wc, cfg)
-	prof, err := FunctionalProfile(tr.Reader(), cfg, 0, 0)
+	soa, res := runDetailed(t, wc, cfg)
+	prof, err := FunctionalProfile(soa.Reader(), cfg, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if prof.Insts != uint64(tr.Len()) {
+	if prof.Insts != uint64(soa.Len()) {
 		t.Fatalf("profile insts = %d", prof.Insts)
 	}
 	// The predictor and I-cache see the identical in-order stream in both
@@ -178,8 +178,11 @@ func TestModelPenaltyMonotoneAndAboveFrontend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := BuildModel(func() trace.Reader { return workload.MustNew(wc, testLen) },
-		cfg, prof.ShortMissRatio(), testLen)
+	soa, err := trace.PackReader(workload.MustNew(wc, testLen))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := BuildModel(soa, cfg, prof.ShortMissRatio(), testLen)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,12 +206,12 @@ func TestModelPenaltyMonotoneAndAboveFrontend(t *testing.T) {
 func TestModelCPIValidation(t *testing.T) {
 	wc := testWorkload()
 	cfg := uarch.Baseline()
-	tr, res := runDetailed(t, wc, cfg)
-	prof, err := FunctionalProfile(tr.Reader(), cfg, 0, 0)
+	soa, res := runDetailed(t, wc, cfg)
+	prof, err := FunctionalProfile(soa.Reader(), cfg, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := BuildModel(func() trace.Reader { return tr.Reader() }, cfg, prof.ShortMissRatio(), 0)
+	m, err := BuildModel(soa, cfg, prof.ShortMissRatio(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

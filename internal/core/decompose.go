@@ -40,39 +40,73 @@ type Breakdown struct {
 }
 
 // Decomposer computes per-misprediction breakdowns against the trace the
-// simulator ran.
+// simulator ran. It reuses one window buffer across records, so one
+// Decomposer serves one goroutine at a time.
 type Decomposer struct {
-	insts []isa.Inst
+	soa   *trace.SoA // the packed trace, or the packed chunk of insts in use
+	insts []isa.Inst // record layout (NewDecomposer only)
+	n     uint64     // trace length
+	off   int        // trace index of soa's record 0
 	cfg   uarch.Config
 	res   *uarch.Result // for LoadLevel lookups
+
+	scratch ilp.Scratch
+	lat     [3]ilp.LatencyFunc // FU only; + short misses; + long misses
 }
+
+// windowChunk is how many records a NewDecomposer packs at a time: every
+// misprediction window that fits in the packed chunk is read from it, so the
+// decomposer never holds a packed copy of the whole trace.
+const windowChunk = 8192
 
 // NewDecomposer prepares a decomposer for the given trace and simulation
 // result. The result must have been produced with Options.RecordMispredicts
-// and Options.RecordLoadLevels on that same trace.
+// and Options.RecordLoadLevels on that same trace. It packs the trace one
+// chunk at a time, as the misprediction windows reach it; a caller that
+// already has the packed trace should use NewPackedDecomposer, which gives
+// identical breakdowns.
 func NewDecomposer(tr *trace.Trace, res *uarch.Result) (*Decomposer, error) {
+	return newDecomposer(nil, tr.Insts, len(tr.Insts), res)
+}
+
+// NewPackedDecomposer is NewDecomposer over the packed trace the simulator
+// ran: windows read soa's precomputed producer indices in place, so
+// decomposing allocates nothing per record.
+func NewPackedDecomposer(soa *trace.SoA, res *uarch.Result) (*Decomposer, error) {
+	return newDecomposer(soa, nil, soa.Len(), res)
+}
+
+func newDecomposer(soa *trace.SoA, insts []isa.Inst, n int, res *uarch.Result) (*Decomposer, error) {
 	if res.Sampled {
 		return nil, fmt.Errorf("%w: cannot decompose a sampled run (record indices are not trace positions)", ErrBadInput)
 	}
 	if len(res.Records) > 0 && res.LoadLevels == nil {
 		return nil, fmt.Errorf("%w: result lacks load levels; run with RecordLoadLevels", ErrBadInput)
 	}
-	return &Decomposer{insts: tr.Insts, cfg: res.Config, res: res}, nil
+	d := &Decomposer{soa: soa, insts: insts, n: uint64(n), cfg: res.Config, res: res,
+		scratch: make(ilp.Scratch, res.Config.ROBSize)}
+	d.lat = [3]ilp.LatencyFunc{d.latency(false, false), d.latency(true, false), d.latency(true, true)}
+	return d, nil
 }
 
 // Decompose breaks down one misprediction record. Records without a resume
 // (trace ended mid-penalty) return ok = false.
 func (d *Decomposer) Decompose(rec uarch.MispredictRecord) (Breakdown, bool) {
-	if rec.Penalty() <= 0 || rec.Index >= uint64(len(d.insts)) {
+	if rec.Penalty() <= 0 || rec.Index >= d.n {
 		return Breakdown{}, false
 	}
-	base := rec.OldestInROB
-	window := d.insts[base : rec.Index+1]
+	// The window holds the branch and everything older still in the ROB.
+	lo, hi := int(rec.OldestInROB), int(rec.Index)+1
+	if d.insts != nil && (d.soa == nil || lo < d.off || hi > d.off+d.soa.Len()) {
+		end := min(max(lo+windowChunk, hi), len(d.insts))
+		d.soa, d.off = trace.Pack(&trace.Trace{Insts: d.insts[lo:end]}), lo
+	}
+	lo, hi = lo-d.off, hi-d.off
 
-	unit := ilp.CriticalPathTo(window, ilp.UnitLatency)
-	fu := ilp.CriticalPathTo(window, d.latency(base, false, false))
-	short := ilp.CriticalPathTo(window, d.latency(base, true, false))
-	full := ilp.CriticalPathTo(window, d.latency(base, true, true))
+	unit := d.scratch.CriticalPathTo(d.soa, lo, hi, ilp.UnitLatency)
+	fu := d.scratch.CriticalPathTo(d.soa, lo, hi, d.lat[0])
+	short := d.scratch.CriticalPathTo(d.soa, lo, hi, d.lat[1])
+	full := d.scratch.CriticalPathTo(d.soa, lo, hi, d.lat[2])
 
 	b := Breakdown{
 		Frontend:      frontendRefill(d.cfg),
@@ -99,16 +133,15 @@ func (d *Decomposer) DecomposeAll() []Breakdown {
 	return out
 }
 
-// latency builds the window latency function: real functional-unit
-// latencies everywhere, loads at L1 load-use latency, upgraded to the L2
-// latency for observed short misses (withShort) and to memory latency for
-// observed long misses (withLong). base is the trace index of the window's
-// first instruction.
-func (d *Decomposer) latency(base uint64, withShort, withLong bool) ilp.LatencyFunc {
+// latency builds a window latency function: real functional-unit latencies
+// everywhere, loads at L1 load-use latency, upgraded to the L2 latency for
+// observed short misses (withShort) and to memory latency for observed long
+// misses (withLong).
+func (d *Decomposer) latency(withShort, withLong bool) ilp.LatencyFunc {
 	lat := d.cfg.Mem.Lat
-	return func(idx int, in *isa.Inst) float64 {
-		if in.Class == isa.Load {
-			lvl, ok := d.res.LoadLevel(base + uint64(idx))
+	return func(idx int, c isa.Class) float64 {
+		if c == isa.Load {
+			lvl, ok := d.res.LoadLevel(uint64(d.off + idx))
 			switch {
 			case ok && withShort && lvl == cache.ShortMiss:
 				return float64(lat.L2)
@@ -118,7 +151,7 @@ func (d *Decomposer) latency(base uint64, withShort, withLong bool) ilp.LatencyF
 				return float64(lat.L1)
 			}
 		}
-		return float64(d.cfg.FU.OpLatency(in.Class))
+		return float64(d.cfg.FU.OpLatency(c))
 	}
 }
 

@@ -56,24 +56,24 @@ type ModelOptions struct {
 	NaiveResolution bool
 }
 
-// BuildModel profiles the program twice (unit and machine latencies) over at
-// most maxInsts instructions. mk must return a fresh reader over the same
-// trace on each call; shortRatio is the program's short-miss ratio from a
-// functional profile.
-func BuildModel(mk func() trace.Reader, cfg uarch.Config, shortRatio float64, maxInsts int) (*Model, error) {
+// BuildModel profiles the packed trace soa three times (unit latency,
+// machine latencies, and branch resolution under machine latencies) over at
+// most maxInsts instructions; shortRatio is the program's short-miss ratio
+// from a functional profile.
+func BuildModel(soa *trace.SoA, cfg uarch.Config, shortRatio float64, maxInsts int) (*Model, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	windows := windowLadder(cfg.ROBSize)
-	kunit, err := ilp.Profile(mk(), windows, ilp.UnitLatency, maxInsts)
+	kunit, err := ilp.Profile(soa, windows, ilp.UnitLatency, maxInsts)
 	if err != nil {
 		return nil, err
 	}
-	klat, err := ilp.Profile(mk(), windows, MachineLatency(cfg, shortRatio), maxInsts)
+	klat, err := ilp.Profile(soa, windows, MachineLatency(cfg, shortRatio), maxInsts)
 	if err != nil {
 		return nil, err
 	}
-	kres, err := ilp.ProfileResolution(mk(), windows, MachineLatency(cfg, shortRatio), cfg.DispatchWidth, maxInsts, 4)
+	kres, err := ilp.ProfileResolution(soa, windows, MachineLatency(cfg, shortRatio), cfg.DispatchWidth, maxInsts, 4)
 	if err != nil {
 		return nil, err
 	}
@@ -96,11 +96,11 @@ func windowLadder(rob int) []int {
 func MachineLatency(cfg uarch.Config, shortRatio float64) ilp.LatencyFunc {
 	lat := cfg.Mem.Lat
 	loadLat := float64(lat.L1) + shortRatio*float64(lat.L2-lat.L1)
-	return func(_ int, in *isa.Inst) float64 {
-		if in.Class == isa.Load {
+	return func(_ int, c isa.Class) float64 {
+		if c == isa.Load {
 			return loadLat
 		}
-		return float64(cfg.FU.OpLatency(in.Class))
+		return float64(cfg.FU.OpLatency(c))
 	}
 }
 

@@ -25,12 +25,12 @@ func memWorkload() workload.Config {
 func buildFor(t *testing.T, wc workload.Config) (*Model, *Profile, *uarch.Result) {
 	t.Helper()
 	cfg := uarch.Baseline()
-	tr, res := runDetailed(t, wc, cfg)
-	prof, err := FunctionalProfile(tr.Reader(), cfg, 0, 0)
+	soa, res := runDetailed(t, wc, cfg)
+	prof, err := FunctionalProfile(soa.Reader(), cfg, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := BuildModel(func() trace.Reader { return tr.Reader() }, cfg, prof.ShortMissRatio(), 0)
+	m, err := BuildModel(soa, cfg, prof.ShortMissRatio(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,19 +102,19 @@ func TestFullModelAccuracyWithMatchedWarmup(t *testing.T) {
 	const warm = 100_000
 	wc := memWorkload()
 	cfg := uarch.Baseline()
-	tr, err := trace.ReadAll(workload.MustNew(wc, testLen))
+	soa, err := trace.PackReader(workload.MustNew(wc, testLen))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := uarch.Run(tr.Reader(), cfg, uarch.Options{WarmupInsts: warm})
+	res, err := uarch.Run(soa.Reader(), cfg, uarch.Options{WarmupInsts: warm})
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof, err := FunctionalProfile(tr.Reader(), cfg, warm, 0)
+	prof, err := FunctionalProfile(soa.Reader(), cfg, warm, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := BuildModel(func() trace.Reader { return tr.Reader() }, cfg, prof.ShortMissRatio(), 0)
+	m, err := BuildModel(soa, cfg, prof.ShortMissRatio(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,22 +143,20 @@ func TestFullModelAccuracyWithMatchedWarmup(t *testing.T) {
 func TestMachineLatencyExpectedValue(t *testing.T) {
 	cfg := uarch.Baseline()
 	lat := MachineLatency(cfg, 0.5)
-	ld := &isaLoad
-	got := lat(0, ld)
+	got := lat(0, isa.Load)
 	want := float64(cfg.Mem.Lat.L1) + 0.5*float64(cfg.Mem.Lat.L2-cfg.Mem.Lat.L1)
 	if got != want {
 		t.Errorf("load latency = %v, want %v", got, want)
 	}
-	mul := &isaMul
-	if lat(0, mul) != float64(cfg.FU.IntMul.Latency) {
-		t.Errorf("mul latency = %v", lat(0, mul))
+	if got := lat(0, isa.IntMul); got != float64(cfg.FU.IntMul.Latency) {
+		t.Errorf("mul latency = %v", got)
 	}
 }
 
 func TestBuildModelRejectsBadConfig(t *testing.T) {
 	cfg := uarch.Baseline()
 	cfg.ROBSize = 0
-	_, err := BuildModel(func() trace.Reader { return (&trace.Trace{}).Reader() }, cfg, 0, 0)
+	_, err := BuildModel(trace.Pack(&trace.Trace{}), cfg, 0, 0)
 	if err == nil {
 		t.Fatal("invalid config accepted")
 	}
@@ -213,18 +211,4 @@ func TestFunctionalProfileWarmup(t *testing.T) {
 	if warmRate > fullRate*1.5 {
 		t.Errorf("post-warmup long-miss rate %.4f suspiciously above overall %.4f", warmRate, fullRate)
 	}
-}
-
-// package-level instruction values used by latency tests
-var (
-	isaLoad = loadInst()
-	isaMul  = mulInst()
-)
-
-func loadInst() isa.Inst {
-	return isa.Inst{Class: isa.Load, Src1: 1, Src2: isa.NoReg, Dst: 8, Addr: 0x1000}
-}
-
-func mulInst() isa.Inst {
-	return isa.Inst{Class: isa.IntMul, Src1: 1, Src2: 2, Dst: 8}
 }

@@ -115,16 +115,15 @@ func (s *ModelSet) For(cfg uarch.Config) (*Model, *Profile, error) {
 		s.prof[cfg.ROBSize] = prof
 	}
 	windows := windowLadder(s.maxROB)
-	mk := func() trace.Reader { return s.soa.Reader() }
 	if !s.shared {
 		// The short-miss ratio counts L1-hit vs L2-hit loads: a property of
 		// the overlay, identical for every ROB size in the family.
 		s.shortRatio = prof.ShortMissRatio()
-		kunit, err := ilp.Profile(mk(), windows, ilp.UnitLatency, s.maxInsts)
+		kunit, err := ilp.Profile(s.soa, windows, ilp.UnitLatency, s.maxInsts)
 		if err != nil {
 			return nil, nil, err
 		}
-		klat, err := ilp.Profile(mk(), windows, MachineLatency(s.base, s.shortRatio), s.maxInsts)
+		klat, err := ilp.Profile(s.soa, windows, MachineLatency(s.base, s.shortRatio), s.maxInsts)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -133,7 +132,7 @@ func (s *ModelSet) For(cfg uarch.Config) (*Model, *Profile, error) {
 	kres, ok := s.kres[cfg.DispatchWidth]
 	if !ok {
 		var err error
-		kres, err = ilp.ProfileResolution(mk(), windows, MachineLatency(s.base, s.shortRatio), cfg.DispatchWidth, s.maxInsts, 4)
+		kres, err = ilp.ProfileResolution(s.soa, windows, MachineLatency(s.base, s.shortRatio), cfg.DispatchWidth, s.maxInsts, 4)
 		if err != nil {
 			return nil, nil, err
 		}

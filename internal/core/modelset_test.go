@@ -58,8 +58,7 @@ func TestModelSetMatchesBuildModel(t *testing.T) {
 				if err != nil {
 					t.Fatalf("For(w%d d%d r%d): %v", width, depth, rob, err)
 				}
-				direct, err := BuildModel(func() trace.Reader { return soa.Reader() },
-					cfg, prof.ShortMissRatio(), insts)
+				direct, err := BuildModel(soa, cfg, prof.ShortMissRatio(), insts)
 				if err != nil {
 					t.Fatal(err)
 				}

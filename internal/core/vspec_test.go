@@ -93,7 +93,7 @@ func TestOverlayProfileRejectsVPredMismatch(t *testing.T) {
 // new miss-event class through to the cycle stack: a profile with value
 // misspeculations yields a positive VMisspec term included in the total.
 func TestPredictCPIChargesValueMisspecs(t *testing.T) {
-	wc, tr, _ := vspecWorkload(t, "mcf", 40_000)
+	wc, tr, soa := vspecWorkload(t, "mcf", 40_000)
 	cfg := uarch.Baseline()
 	vp, _ := vpred.Preset("last-value")
 	vp.Stream = wc.ValueStream()
@@ -106,7 +106,7 @@ func TestPredictCPIChargesValueMisspecs(t *testing.T) {
 	if prof.ValueMisspecs == 0 {
 		t.Skip("no misspeculations in this trace; nothing to charge")
 	}
-	m, err := BuildModel(func() trace.Reader { return tr.Reader() }, cfg, prof.ShortMissRatio(), 40_000)
+	m, err := BuildModel(soa, cfg, prof.ShortMissRatio(), 40_000)
 	if err != nil {
 		t.Fatal(err)
 	}

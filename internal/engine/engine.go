@@ -73,7 +73,6 @@ type OverlayFunc func(soa *trace.SoA, pred bpred.Config, mem cache.HierarchyConf
 // read-only after New, so concurrent Runs are safe.
 type Executor struct {
 	spec   Spec
-	tr     *trace.Trace
 	soa    *trace.SoA
 	ov     *overlay.Overlay
 	models *core.ModelSet
@@ -83,13 +82,11 @@ type Executor struct {
 // trace. base fixes what every point shares: the predictor, value predictor
 // and cache geometry the overlay is keyed on, and the latencies of the model
 // set. maxROB is the largest ROB any point will request (model mode only).
-// tr is the record layout of soa for the decomposition; nil unpacks it from
-// soa when decomposing.
-func New(spec Spec, base uarch.Config, maxROB int, tr *trace.Trace, soa *trace.SoA, overlays OverlayFunc) (*Executor, error) {
+func New(spec Spec, base uarch.Config, maxROB int, soa *trace.SoA, overlays OverlayFunc) (*Executor, error) {
 	if err := CheckMode(spec.Mode); err != nil {
 		return nil, err
 	}
-	e := &Executor{spec: spec, tr: tr, soa: soa}
+	e := &Executor{spec: spec, soa: soa}
 	// Sampled runs bypass overlay replay by design (precomputed dependences
 	// do not apply to fast-forwarded runs), so that mode never computes one.
 	if spec.Mode == ModeSampled {
@@ -104,9 +101,6 @@ func New(spec Spec, base uarch.Config, maxROB int, tr *trace.Trace, soa *trace.S
 		if e.models, err = core.NewModelSet(soa, ov, base, maxROB, spec.Warmup, spec.Insts); err != nil {
 			return nil, err
 		}
-	}
-	if spec.Decompose && e.tr == nil {
-		e.tr = soa.Unpack()
 	}
 	return e, nil
 }
@@ -187,7 +181,7 @@ func (e *Executor) sim(ctx context.Context, cfg uarch.Config) (Result, error) {
 		Path: res.Path, Fallback: res.Fallback, Sim: res,
 	}
 	if e.spec.Decompose {
-		dec, err := core.NewDecomposer(e.tr, res)
+		dec, err := core.NewPackedDecomposer(e.soa, res)
 		if err != nil {
 			return Result{}, harness.Permanent(err)
 		}

@@ -60,7 +60,7 @@ func TestArtifactsPerMode(t *testing.T) {
 			}
 			return overlay.ComputeSpec(s, pred, mem, vp)
 		}
-		e, err := New(testSpec(mode), base, 256, nil, soa, overlays)
+		e, err := New(testSpec(mode), base, 256, soa, overlays)
 		if err != nil {
 			t.Fatalf("%s: %v", mode, err)
 		}
@@ -74,11 +74,8 @@ func TestArtifactsPerMode(t *testing.T) {
 		if (e.models != nil) != (mode == ModeModel) {
 			t.Errorf("%s: model set present = %v", mode, e.models != nil)
 		}
-		if (e.tr != nil) != (mode == ModeSim) {
-			t.Errorf("%s: record layout present = %v (decomposing only)", mode, e.tr != nil)
-		}
 	}
-	if _, err := New(Spec{Mode: "lockstep"}, base, 256, nil, soa, overlay.Shared.GetSpec); err == nil {
+	if _, err := New(Spec{Mode: "lockstep"}, base, 256, soa, overlay.Shared.GetSpec); err == nil {
 		t.Error("New accepted an unknown mode")
 	}
 }
@@ -89,7 +86,7 @@ func TestResultFieldsPerMode(t *testing.T) {
 	soa := testSoA(t)
 	cfg := experiments.Point(4, 7, 128)
 	run := func(mode string) Result {
-		e, err := New(testSpec(mode), uarch.Baseline(), 256, nil, soa, overlay.Shared.GetSpec)
+		e, err := New(testSpec(mode), uarch.Baseline(), 256, soa, overlay.Shared.GetSpec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,7 +139,7 @@ func TestDeterministicErrorsArePermanent(t *testing.T) {
 	bad := experiments.Point(4, 7, 128)
 	bad.ROBSize = -1
 	for _, mode := range []string{ModeSim, ModeSampled, ModeModel} {
-		e, err := New(testSpec(mode), uarch.Baseline(), 256, nil, soa, overlay.Shared.GetSpec)
+		e, err := New(testSpec(mode), uarch.Baseline(), 256, soa, overlay.Shared.GetSpec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,7 +151,7 @@ func TestDeterministicErrorsArePermanent(t *testing.T) {
 			t.Errorf("%s: err = %v, want ErrBadConfig", mode, err)
 		}
 	}
-	e, err := New(testSpec(ModeSim), uarch.Baseline(), 256, nil, soa, overlay.Shared.GetSpec)
+	e, err := New(testSpec(ModeSim), uarch.Baseline(), 256, soa, overlay.Shared.GetSpec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,14 +40,14 @@ func DefaultGrid() (widths, depths, robs []int) {
 	return []int{2, 4, 8}, []int{3, 7, 11}, []int{64, 128, 256}
 }
 
-// SharedTrace returns the process-wide shared (record-layout, packed) trace
-// for (wc, insts), generating and packing it on first use. Concurrent
-// callers for the same key share one generation; both returned layouts are
-// immutable and safe to share across goroutines. This is the entry point
-// long-lived callers outside the experiment suite (the intervalsimd
-// daemon) use to amortize trace generation across requests.
-func SharedTrace(wc workload.Config, insts int) (*trace.Trace, *trace.SoA, error) {
-	return DefaultTraceCache.Shared(wc, insts)
+// SharedTrace returns the process-wide shared packed trace for (wc, insts),
+// generating and packing it on first use. Concurrent callers for the same
+// key share one generation; the returned trace is immutable and safe to
+// share across goroutines. This is the entry point long-lived callers
+// outside the experiment suite use to amortize trace generation across
+// requests.
+func SharedTrace(wc workload.Config, insts int) (*trace.SoA, error) {
+	return suiteTraceFor(wc, insts)
 }
 
 // TraceCacheCounters returns the shared trace memo's counter snapshot, for

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"intervalsim/internal/core"
-	"intervalsim/internal/trace"
 	"intervalsim/internal/uarch"
 	"intervalsim/internal/workload"
 )
@@ -65,15 +64,15 @@ func TestModelErrorEnvelope(t *testing.T) {
 // signed relative CPI error against the simulator.
 func modelError(t *testing.T, wc workload.Config, cfg uarch.Config, p Params) float64 {
 	t.Helper()
-	tr, res, err := run(wc, cfg, p)
+	soa, res, err := run(wc, cfg, p)
 	if err != nil {
 		t.Fatalf("%s %s: simulate: %v", wc.Name, cfg.Name, err)
 	}
-	prof, err := core.FunctionalProfile(tr.Reader(), cfg, p.Warmup, 0)
+	prof, err := core.FunctionalProfile(soa.Reader(), cfg, p.Warmup, 0)
 	if err != nil {
 		t.Fatalf("%s %s: profile: %v", wc.Name, cfg.Name, err)
 	}
-	m, err := core.BuildModel(func() trace.Reader { return tr.Reader() }, cfg, prof.ShortMissRatio(), p.Insts)
+	m, err := core.BuildModel(soa, cfg, prof.ShortMissRatio(), p.Insts)
 	if err != nil {
 		t.Fatalf("%s %s: build model: %v", wc.Name, cfg.Name, err)
 	}

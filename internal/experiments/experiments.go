@@ -48,16 +48,16 @@ func QuickParams() Params {
 // replayed from the shared miss-event overlay — computed once per (trace,
 // predictor, cache geometry) and reused by every timing point that asks,
 // with results bit-identical to live simulation.
-func run(wc workload.Config, cfg uarch.Config, p Params) (*trace.Trace, *uarch.Result, error) {
-	st, err := suiteTraceFor(wc, p.Insts)
+func run(wc workload.Config, cfg uarch.Config, p Params) (*trace.SoA, *uarch.Result, error) {
+	soa, err := suiteTraceFor(wc, p.Insts)
 	if err != nil {
 		return nil, nil, err
 	}
-	ov, err := overlayFor(st, cfg)
+	ov, err := overlayFor(soa, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := uarch.Run(st.soa.Reader(), cfg, uarch.Options{
+	res, err := uarch.Run(soa.Reader(), cfg, uarch.Options{
 		RecordEvents:      true,
 		RecordMispredicts: true,
 		RecordLoadLevels:  true,
@@ -67,7 +67,7 @@ func run(wc workload.Config, cfg uarch.Config, p Params) (*trace.Trace, *uarch.R
 	if err != nil {
 		return nil, nil, err
 	}
-	return st.tr, res, nil
+	return soa, res, nil
 }
 
 func perKI(n, insts uint64) float64 {
@@ -116,11 +116,11 @@ func T2(w io.Writer, p Params) error {
 	t := report.New("T2: benchmark characterization (baseline machine)",
 		"benchmark", "IPC", "br-MPKI", "I$-MPKI", "shortD/KI", "longD/KI", "ILP beta", "K(ROB)")
 	for _, wc := range workload.Suite() {
-		tr, res, err := run(wc, cfg, p)
+		soa, res, err := run(wc, cfg, p)
 		if err != nil {
 			return err
 		}
-		char, err := ilp.Profile(tr.Reader(), ilp.DefaultWindows(), ilp.UnitLatency, p.Insts)
+		char, err := ilp.Profile(soa, ilp.DefaultWindows(), ilp.UnitLatency, p.Insts)
 		if err != nil {
 			return err
 		}
@@ -143,15 +143,15 @@ func T2(w io.Writer, p Params) error {
 func E1(w io.Writer, p Params) error {
 	cfg := uarch.Baseline()
 	wc, _ := workload.SuiteConfig("gzip")
-	st, err := suiteTraceFor(wc, p.Insts)
+	soa, err := suiteTraceFor(wc, p.Insts)
 	if err != nil {
 		return err
 	}
-	ov, err := overlayFor(st, cfg)
+	ov, err := overlayFor(soa, cfg)
 	if err != nil {
 		return err
 	}
-	res, err := uarch.Run(st.soa.Reader(), cfg, uarch.Options{
+	res, err := uarch.Run(soa.Reader(), cfg, uarch.Options{
 		RecordMispredicts: true,
 		TimelineCycles:    200_000,
 		Overlay:           ov,
@@ -293,7 +293,7 @@ func E4(w io.Writer, p Params) error {
 		if !ok {
 			return fmt.Errorf("experiments: unknown benchmark %s", name)
 		}
-		tr, res, err := run(wc, cfg, p)
+		soa, res, err := run(wc, cfg, p)
 		if err != nil {
 			return err
 		}
@@ -301,11 +301,11 @@ func E4(w io.Writer, p Params) error {
 		if err != nil {
 			return err
 		}
-		m, err := core.BuildModel(func() trace.Reader { return tr.Reader() }, cfg, prof.ShortMissRatio(), p.Insts)
+		m, err := core.BuildModel(soa, cfg, prof.ShortMissRatio(), p.Insts)
 		if err != nil {
 			return err
 		}
-		dec, err := core.NewDecomposer(tr, res)
+		dec, err := core.NewPackedDecomposer(soa, res)
 		if err != nil {
 			return err
 		}
@@ -392,11 +392,11 @@ func E5(w io.Writer, p Params) error {
 	t := report.New("E5: misprediction penalty decomposition (cycles, mean per misprediction)",
 		"benchmark", "frontend(i)", "drain ILP(ii+iii)", "FU lat(iv)", "shortD(v)", "longD ovl", "residual", "total")
 	for _, wc := range workload.Suite() {
-		tr, res, err := run(wc, cfg, p)
+		soa, res, err := run(wc, cfg, p)
 		if err != nil {
 			return err
 		}
-		d, err := core.NewDecomposer(tr, res)
+		d, err := core.NewPackedDecomposer(soa, res)
 		if err != nil {
 			return err
 		}

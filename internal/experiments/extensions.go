@@ -23,7 +23,7 @@ func E11(w io.Writer, p Params) error {
 	t := report.New("E11 (extension): cycle stacks — model prediction vs simulator stall accounting (fraction of cycles)",
 		"benchmark", "mdl base", "mdl bpred", "mdl I$", "mdl longD", "sim dispatch", "sim bpred", "sim I$", "sim ROB/IQ", "sim other")
 	for _, wc := range workload.Suite() {
-		tr, res, err := run(wc, cfg, p)
+		soa, res, err := run(wc, cfg, p)
 		if err != nil {
 			return err
 		}
@@ -31,7 +31,7 @@ func E11(w io.Writer, p Params) error {
 		if err != nil {
 			return err
 		}
-		m, err := core.BuildModel(func() trace.Reader { return tr.Reader() }, cfg, prof.ShortMissRatio(), p.Insts)
+		m, err := core.BuildModel(soa, cfg, prof.ShortMissRatio(), p.Insts)
 		if err != nil {
 			return err
 		}
@@ -103,7 +103,7 @@ func A1(w io.Writer, p Params) error {
 		if !ok {
 			return fmt.Errorf("experiments: unknown benchmark %s", name)
 		}
-		tr, res, err := run(wc, cfg, p)
+		soa, res, err := run(wc, cfg, p)
 		if err != nil {
 			return err
 		}
@@ -111,7 +111,7 @@ func A1(w io.Writer, p Params) error {
 		if err != nil {
 			return err
 		}
-		m, err := core.BuildModel(func() trace.Reader { return tr.Reader() }, cfg, prof.ShortMissRatio(), p.Insts)
+		m, err := core.BuildModel(soa, cfg, prof.ShortMissRatio(), p.Insts)
 		if err != nil {
 			return err
 		}
@@ -202,11 +202,11 @@ func E12(w io.Writer, p Params) error {
 		if !ok {
 			return fmt.Errorf("experiments: unknown benchmark %s", name)
 		}
-		tr, res, err := run(wc, cfg, p)
+		soa, res, err := run(wc, cfg, p)
 		if err != nil {
 			return err
 		}
-		costs := core.CostliestBranches(tr, res, 0)
+		costs := core.CostliestBranches(soa, res, 0)
 		var total float64
 		for _, c := range costs {
 			total += c.TotalPenalty
@@ -231,8 +231,7 @@ func E12(w io.Writer, p Params) error {
 		}
 
 		simIPC := func(pcs map[uint64]bool) (float64, error) {
-			ptr := core.Predicate(tr, pcs)
-			r2, err := uarch.Run(trace.Pack(ptr).Reader(), cfg, uarch.Options{WarmupInsts: p.Warmup})
+			r2, err := uarch.Run(core.Predicate(soa, pcs).Reader(), cfg, uarch.Options{WarmupInsts: p.Warmup})
 			if err != nil {
 				return 0, err
 			}
@@ -326,17 +325,17 @@ func A4(w io.Writer, p Params) error {
 	t := report.New(fmt.Sprintf("A4 (extension): sampled-run CPI confidence intervals (95%%; %d detailed / %d warming per period)", detailed, skip),
 		"benchmark", "full CPI", "sampled CPI", "95% CI", "rel err", "units", "covered")
 	for _, wc := range workload.Suite() {
-		st, err := suiteTraceFor(wc, p.Insts)
+		soa, err := suiteTraceFor(wc, p.Insts)
 		if err != nil {
 			return err
 		}
 		// The full-run reference excludes the cold-start region the sampled
 		// run fast-forwards, so both estimate the same steady state.
-		full, err := uarch.Run(st.soa.Reader(), cfg, uarch.Options{WarmupInsts: p.Warmup})
+		full, err := uarch.Run(soa.Reader(), cfg, uarch.Options{WarmupInsts: p.Warmup})
 		if err != nil {
 			return err
 		}
-		sampled, err := uarch.Run(st.soa.Reader(), cfg, uarch.Options{
+		sampled, err := uarch.Run(soa.Reader(), cfg, uarch.Options{
 			SampleStartSkip: p.Warmup,
 			SampleDetailed:  detailed,
 			SampleSkip:      skip,

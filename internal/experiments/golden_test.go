@@ -36,11 +36,11 @@ func goldenMetrics() (string, error) {
 	fmt.Fprintf(&buf, "# golden metrics: baseline config, insts=%d warmup=%d\n", p.Insts, p.Warmup)
 	fmt.Fprintf(&buf, "# benchmark insts cycles cpi penalty mispredicts icache shortD longD frontend baseILP fuLat shortDMiss longDMiss residual total\n")
 	for _, wc := range workload.Suite() {
-		tr, res, err := run(wc, cfg, p)
+		soa, res, err := run(wc, cfg, p)
 		if err != nil {
 			return "", fmt.Errorf("%s: %w", wc.Name, err)
 		}
-		d, err := core.NewDecomposer(tr, res)
+		d, err := core.NewPackedDecomposer(soa, res)
 		if err != nil {
 			return "", fmt.Errorf("%s: %w", wc.Name, err)
 		}

@@ -67,7 +67,7 @@ func B1(w io.Writer, p Params) error {
 	// Accuracy vs storage budget, direction prediction only (no pipeline in
 	// the loop): how each kind spends additional area on one trace.
 	wc, _ := workload.SuiteConfig("crafty")
-	st, err := suiteTraceFor(wc, p.Insts)
+	soa, err := suiteTraceFor(wc, p.Insts)
 	if err != nil {
 		return err
 	}
@@ -80,7 +80,7 @@ func B1(w io.Writer, p Params) error {
 	t2 := report.New("B1b: direction-mispredict MPKI vs storage budget (crafty)", headers2...)
 	curves := make(map[string][]predictability.BudgetPoint, len(curveKinds))
 	for _, kind := range curveKinds {
-		pts, err := predictability.BudgetCurve(st.soa, kind, budgets, int(p.Warmup))
+		pts, err := predictability.BudgetCurve(soa, kind, budgets, int(p.Warmup))
 		if err != nil {
 			return err
 		}
@@ -119,11 +119,11 @@ func b2Workload() workload.Config {
 // the misprediction cost.
 func B2(w io.Writer, p Params) error {
 	wc := b2Workload()
-	st, err := suiteTraceFor(wc, p.Insts)
+	soa, err := suiteTraceFor(wc, p.Insts)
 	if err != nil {
 		return err
 	}
-	prof, err := predictability.Collect(st.soa, predictability.Options{Warmup: int(p.Warmup)})
+	prof, err := predictability.Collect(soa, predictability.Options{Warmup: int(p.Warmup)})
 	if err != nil {
 		return err
 	}
@@ -131,12 +131,12 @@ func B2(w io.Writer, p Params) error {
 	// Price the mispredicts with the cycle-level simulator on the baseline
 	// machine and fold the measured penalties into the profile.
 	cfg := uarch.Baseline()
-	tr, res, err := run(wc, cfg, p)
+	_, res, err := run(wc, cfg, p)
 	if err != nil {
 		return err
 	}
 	byPC := make(map[uint64]float64)
-	for _, c := range core.CostliestBranches(tr, res, 0) {
+	for _, c := range core.CostliestBranches(soa, res, 0) {
 		byPC[c.PC] = c.TotalPenalty
 	}
 	prof.AttributePenalty(byPC)

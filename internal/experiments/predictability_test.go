@@ -63,11 +63,11 @@ func TestB2H2PMajority(t *testing.T) {
 		t.Skip("integration experiment skipped in -short mode")
 	}
 	p := goldenParams()
-	st, err := suiteTraceFor(b2Workload(), p.Insts)
+	soa, err := suiteTraceFor(b2Workload(), p.Insts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof, err := predictability.Collect(st.soa, predictability.Options{Warmup: int(p.Warmup)})
+	prof, err := predictability.Collect(soa, predictability.Options{Warmup: int(p.Warmup)})
 	if err != nil {
 		t.Fatal(err)
 	}

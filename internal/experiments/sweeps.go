@@ -8,7 +8,6 @@ import (
 	"intervalsim/internal/core"
 	"intervalsim/internal/ilp"
 	"intervalsim/internal/report"
-	"intervalsim/internal/trace"
 	"intervalsim/internal/uarch"
 	"intervalsim/internal/workload"
 )
@@ -22,15 +21,15 @@ func E6(w io.Writer, p Params) error {
 		"variant", "chain prob", "ILP beta", "K(ROB)", "avg penalty", "drain component")
 	base, _ := workload.SuiteConfig("gzip")
 	for _, wc := range workload.ILPVariants(base) {
-		tr, res, err := run(wc, cfg, p)
+		soa, res, err := run(wc, cfg, p)
 		if err != nil {
 			return err
 		}
-		char, err := ilp.Profile(tr.Reader(), ilp.DefaultWindows(), ilp.UnitLatency, p.Insts)
+		char, err := ilp.Profile(soa, ilp.DefaultWindows(), ilp.UnitLatency, p.Insts)
 		if err != nil {
 			return err
 		}
-		d, err := core.NewDecomposer(tr, res)
+		d, err := core.NewPackedDecomposer(soa, res)
 		if err != nil {
 			return err
 		}
@@ -60,11 +59,11 @@ func E7(w io.Writer, p Params) error {
 		for _, factor := range []float64{1, 2, 3} {
 			cfg := uarch.Baseline()
 			cfg.FU = cfg.FU.Scale(factor)
-			tr, res, err := run(wc, cfg, p)
+			soa, res, err := run(wc, cfg, p)
 			if err != nil {
 				return err
 			}
-			d, err := core.NewDecomposer(tr, res)
+			d, err := core.NewPackedDecomposer(soa, res)
 			if err != nil {
 				return err
 			}
@@ -94,11 +93,11 @@ func E8(w io.Writer, p Params) error {
 		// Spread accesses so L1 capacity is genuinely exceeded as the
 		// footprint grows.
 		wc.Locality = 0.4
-		tr, res, err := run(wc, cfg, p)
+		soa, res, err := run(wc, cfg, p)
 		if err != nil {
 			return err
 		}
-		d, err := core.NewDecomposer(tr, res)
+		d, err := core.NewPackedDecomposer(soa, res)
 		if err != nil {
 			return err
 		}
@@ -121,7 +120,7 @@ func E9(w io.Writer, p Params) error {
 	t := report.New("E9: analytic interval model vs cycle-level simulation",
 		"benchmark", "sim CPI", "model CPI", "CPI err%", "sim penalty", "model penalty")
 	for _, wc := range workload.Suite() {
-		tr, res, err := run(wc, cfg, p)
+		soa, res, err := run(wc, cfg, p)
 		if err != nil {
 			return err
 		}
@@ -129,7 +128,7 @@ func E9(w io.Writer, p Params) error {
 		if err != nil {
 			return err
 		}
-		m, err := core.BuildModel(func() trace.Reader { return tr.Reader() }, cfg, prof.ShortMissRatio(), p.Insts)
+		m, err := core.BuildModel(soa, cfg, prof.ShortMissRatio(), p.Insts)
 		if err != nil {
 			return err
 		}
@@ -200,11 +199,11 @@ func E10(w io.Writer, p Params) error {
 		cfg := uarch.Baseline()
 		cfg.ROBSize = rob
 		cfg.IQSize = rob / 2
-		tr, res, err := run(wc, cfg, p)
+		soa, res, err := run(wc, cfg, p)
 		if err != nil {
 			return err
 		}
-		d, err := core.NewDecomposer(tr, res)
+		d, err := core.NewPackedDecomposer(soa, res)
 		if err != nil {
 			return err
 		}

@@ -9,16 +9,6 @@ import (
 	"intervalsim/internal/workload"
 )
 
-// suiteTrace is one generated workload trace in both layouts: the record
-// slice the decomposer and ILP profiler consume, and the packed
-// struct-of-arrays the simulator's fast path and the overlay cache key on.
-// Both are immutable once built (Predicate copies before mutating), so one
-// instance is safely shared across experiments and harness workers.
-type suiteTrace struct {
-	tr  *trace.Trace
-	soa *trace.SoA
-}
-
 // traceKey identifies a generated trace: workloads are deterministic
 // functions of their Config and the instruction count.
 type traceKey struct {
@@ -33,76 +23,58 @@ type traceKey struct {
 // each time was the second-largest cost after simulation itself. Services
 // that need isolation — e.g. cmd/bench booting several in-process daemons
 // that must not silently share artifacts — construct private instances.
+//
+// Entries are packed traces: the simulator's fast path, the overlay cache,
+// the ILP profiler and the penalty decomposer all read the struct-of-arrays
+// layout and its precomputed producer indices. A packed trace is immutable
+// (core.Predicate re-packs a copy), so one entry is safely shared across
+// experiments and harness workers.
 type TraceCache struct {
-	memo *harness.Memo[traceKey, *suiteTrace]
+	memo *harness.Memo[traceKey, *trace.SoA]
 }
 
 // NewTraceCache returns a TraceCache bounded to capacity traces.
 func NewTraceCache(capacity int) *TraceCache {
-	return &TraceCache{memo: harness.NewMemo[traceKey, *suiteTrace](capacity)}
+	return &TraceCache{memo: harness.NewMemo[traceKey, *trace.SoA](capacity)}
 }
 
 // DefaultTraceCache is the process-wide shared trace cache. The capacity
 // covers the ten-workload suite plus the E6/E8 variants; at the default 2M
-// instructions an entry is ~200MB, well within the memory the experiment
+// instructions an entry is ~80MB, well within the memory the experiment
 // suite budgets.
 var DefaultTraceCache = NewTraceCache(24)
 
-// get returns the cached trace for (wc, insts), generating and packing it
-// on first use. fill, when non-nil, is consulted on a miss before local
-// generation: if it produces a packed trace (e.g. fetched from a fleet
-// peer), the record layout is reconstructed from it with Unpack instead of
-// regenerating the workload. Unpack is exact — Pack is lossless — so both
-// layouts are identical to locally generated ones.
-func (c *TraceCache) get(wc workload.Config, insts int, fill func() *trace.SoA) (*suiteTrace, error) {
-	return c.memo.Get(traceKey{wc: wc, insts: insts}, func() (*suiteTrace, error) {
+// SharedVia returns the cached packed trace for (wc, insts), generating and
+// packing it on first use. fill, when non-nil, is consulted on a miss before
+// local generation (under the key's single-flight lock, so at most once per
+// artifact): if it produces a packed trace (e.g. fetched from a fleet peer),
+// that trace is cached as is, and local generation is the fallback when it
+// returns nil.
+func (c *TraceCache) SharedVia(wc workload.Config, insts int, fill func() *trace.SoA) (*trace.SoA, error) {
+	return c.memo.Get(traceKey{wc: wc, insts: insts}, func() (*trace.SoA, error) {
 		if fill != nil {
 			if soa := fill(); soa != nil {
-				return &suiteTrace{tr: soa.Unpack(), soa: soa}, nil
+				return soa, nil
 			}
 		}
-		tr, err := trace.ReadAll(workload.MustNew(wc, insts))
-		if err != nil {
-			return nil, err
-		}
-		return &suiteTrace{tr: tr, soa: trace.Pack(tr)}, nil
+		return trace.PackReader(workload.MustNew(wc, insts))
 	})
-}
-
-// Shared returns both layouts of the cached trace for (wc, insts).
-func (c *TraceCache) Shared(wc workload.Config, insts int) (*trace.Trace, *trace.SoA, error) {
-	st, err := c.get(wc, insts, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	return st.tr, st.soa, nil
-}
-
-// SharedVia is Shared with a peer-fill hook: on a cache miss, fill runs
-// first (under the key's single-flight lock, so at most once per artifact)
-// and local generation is the fallback when it returns nil.
-func (c *TraceCache) SharedVia(wc workload.Config, insts int, fill func() *trace.SoA) (*trace.Trace, *trace.SoA, error) {
-	st, err := c.get(wc, insts, fill)
-	if err != nil {
-		return nil, nil, err
-	}
-	return st.tr, st.soa, nil
 }
 
 // Counters returns the cache's counter snapshot for observability surfaces.
 func (c *TraceCache) Counters() harness.MemoStats { return c.memo.Counters() }
 
-// suiteTraceFor returns the process-wide shared trace for (wc, insts),
-// generating and packing it on first use.
-func suiteTraceFor(wc workload.Config, insts int) (*suiteTrace, error) {
-	return DefaultTraceCache.get(wc, insts, nil)
+// suiteTraceFor returns the process-wide shared packed trace for (wc,
+// insts), generating and packing it on first use.
+func suiteTraceFor(wc workload.Config, insts int) (*trace.SoA, error) {
+	return DefaultTraceCache.SharedVia(wc, insts, nil)
 }
 
 // overlayFor returns the shared miss-event overlay of the workload's packed
 // trace under cfg's speculation configuration (predictor + cache geometry +
 // optional value predictor).
-func overlayFor(st *suiteTrace, cfg uarch.Config) (*overlay.Overlay, error) {
-	return overlay.Shared.GetSpec(st.soa, cfg.Pred, cfg.Mem, cfg.VPred)
+func overlayFor(soa *trace.SoA, cfg uarch.Config) (*overlay.Overlay, error) {
+	return overlay.Shared.GetSpec(soa, cfg.Pred, cfg.Mem, cfg.VPred)
 }
 
 // profileFor builds the functional miss-event profile of (wc, insts) under
@@ -110,13 +82,13 @@ func overlayFor(st *suiteTrace, cfg uarch.Config) (*overlay.Overlay, error) {
 // same trace (TestOverlayProfileMatchesFunctional) but without re-simulating
 // the predictor and caches per call.
 func profileFor(wc workload.Config, cfg uarch.Config, p Params) (*core.Profile, error) {
-	st, err := suiteTraceFor(wc, p.Insts)
+	soa, err := suiteTraceFor(wc, p.Insts)
 	if err != nil {
 		return nil, err
 	}
-	ov, err := overlayFor(st, cfg)
+	ov, err := overlayFor(soa, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return core.OverlayProfile(st.soa, ov, cfg, p.Warmup, 0)
+	return core.OverlayProfile(soa, ov, cfg, p.Warmup, 0)
 }

@@ -143,11 +143,11 @@ func C2(w io.Writer, p Params) error {
 	for _, rate := range rates {
 		cfg := uarch.Baseline()
 		cfg.FetchRate = rate
-		tr, res, err := run(wc, cfg, p)
+		soa, res, err := run(wc, cfg, p)
 		if err != nil {
 			return err
 		}
-		d, err := core.NewDecomposer(tr, res)
+		d, err := core.NewPackedDecomposer(soa, res)
 		if err != nil {
 			return err
 		}

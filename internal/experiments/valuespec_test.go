@@ -99,11 +99,11 @@ func TestC2ThrottleCost(t *testing.T) {
 	for i, rate := range rates {
 		cfg := uarch.Baseline()
 		cfg.FetchRate = rate
-		tr, res, err := run(wc, cfg, p)
+		soa, res, err := run(wc, cfg, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, err := core.NewDecomposer(tr, res)
+		d, err := core.NewPackedDecomposer(soa, res)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -13,80 +13,78 @@ package ilp
 
 import (
 	"fmt"
-	"io"
 	"math"
 
 	"intervalsim/internal/isa"
 	"intervalsim/internal/trace"
 )
 
-// LatencyFunc assigns an execution latency (in cycles) to an instruction;
-// idx is the instruction's position within the slice being analyzed, letting
-// callers key latencies off side tables (e.g. observed per-load cache
-// levels). Fractional values are allowed so expected-value latencies (e.g.
-// an average short-miss uplift on loads) can be modeled.
-type LatencyFunc func(idx int, in *isa.Inst) float64
+// LatencyFunc assigns an execution latency (in cycles) to record idx of the
+// packed trace being analyzed, whose class is c. idx is the absolute trace
+// index, letting callers key latencies off side tables (e.g. observed
+// per-load cache levels). Fractional values are allowed so expected-value
+// latencies (e.g. an average short-miss uplift on loads) can be modeled.
+type LatencyFunc func(idx int, c isa.Class) float64
 
 // UnitLatency treats every instruction as single-cycle: the latency function
 // of the paper's "inherent ILP" contributor.
-func UnitLatency(int, *isa.Inst) float64 { return 1 }
+func UnitLatency(int, isa.Class) float64 { return 1 }
 
-// CriticalPath returns the longest dependence chain through insts under lat,
-// honoring register read-after-write dependences and store→load forwarding
-// on exact word addresses. An empty slice yields 0.
-func CriticalPath(insts []isa.Inst, lat LatencyFunc) float64 {
-	_, max := pathDepths(insts, lat)
-	return max
+// Scratch is the per-window depth buffer the window kernels below reuse: a
+// kernel call allocates only when its window outgrows every earlier one, so
+// make(Scratch, n) sized to the largest window makes every call
+// allocation-free. A Scratch serves one goroutine at a time.
+//
+// The kernels analyze the window [lo, hi) of a packed trace through its
+// precomputed producer indices (trace.SoA's Dep1, Dep2 and DepMem): register
+// read-after-write dependences and store→load forwarding on exact 8-byte
+// words. A producer older than lo lies outside the window and does not delay
+// its consumer.
+type Scratch []float64
+
+// window returns the first n entries of the buffer, growing it if needed.
+func (s *Scratch) window(n int) []float64 {
+	if cap(*s) < n {
+		*s = make(Scratch, n)
+	}
+	return (*s)[:n]
 }
 
 // CriticalPathTo returns the length of the longest dependence chain ending
-// at the last instruction of insts — the resolution time of a branch sitting
-// at the end of the window. An empty slice yields 0.
-func CriticalPathTo(insts []isa.Inst, lat LatencyFunc) float64 {
-	depths, _ := pathDepths(insts, lat)
-	if len(depths) == 0 {
-		return 0
-	}
-	return depths[len(depths)-1]
+// at record hi-1 — the resolution time of a branch sitting at the end of the
+// window [lo, hi). An empty window yields 0.
+func (s *Scratch) CriticalPathTo(soa *trace.SoA, lo, hi int, lat LatencyFunc) float64 {
+	last, _ := s.pathDepths(soa, lo, hi, lat)
+	return last
 }
 
-// pathDepths returns, for each instruction, the earliest completion time of
-// its dependence chain (its "depth"), plus the maximum depth.
-func pathDepths(insts []isa.Inst, lat LatencyFunc) ([]float64, float64) {
-	if len(insts) == 0 {
-		return nil, 0
+// pathDepths computes, for each record of [lo, hi), the earliest completion
+// time of its dependence chain (its "depth"), and returns the depth of the
+// last record and the maximum depth — the window's critical path.
+func (s *Scratch) pathDepths(soa *trace.SoA, lo, hi int, lat LatencyFunc) (last, maxDepth float64) {
+	if hi <= lo {
+		return 0, 0
 	}
-	depths := make([]float64, len(insts))
-	var regDepth [isa.NumRegs]float64
-	storeDepth := make(map[uint64]float64)
-	var maxDepth float64
-	for i := range insts {
-		in := &insts[i]
-		var ready float64
-		if r := in.Src1; r != isa.NoReg && regDepth[r] > ready {
-			ready = regDepth[r]
-		}
-		if r := in.Src2; r != isa.NoReg && regDepth[r] > ready {
-			ready = regDepth[r]
-		}
-		if in.Class == isa.Load {
-			if d, ok := storeDepth[in.Addr/8]; ok && d > ready {
-				ready = d
-			}
-		}
-		d := ready + lat(i, in)
-		depths[i] = d
+	depth := s.window(hi - lo)
+	for i := lo; i < hi; i++ {
+		d := ready(soa, i, lo, depth, 0) + lat(i, soa.Class(i))
+		depth[i-lo] = d
 		if d > maxDepth {
 			maxDepth = d
 		}
-		if in.Dst != isa.NoReg {
-			regDepth[in.Dst] = d
-		}
-		if in.Class == isa.Store {
-			storeDepth[in.Addr/8] = d
+	}
+	return depth[hi-1-lo], maxDepth
+}
+
+// ready returns the later of floor and the completion times, in done, of
+// record i's producers inside the window that starts at lo.
+func ready(soa *trace.SoA, i, lo int, done []float64, floor float64) float64 {
+	for _, p := range [...]int32{soa.Dep1[i], soa.Dep2[i], soa.DepMem[i]} {
+		if p := int(p); p >= lo && done[p-lo] > floor {
+			floor = done[p-lo]
 		}
 	}
-	return depths, maxDepth
+	return floor
 }
 
 // Characteristic is a program's ILP profile: the mean unit-latency critical
@@ -144,52 +142,59 @@ func (c Characteristic) EvalInterp(w int) float64 {
 	return c.K[len(c.K)-1]
 }
 
-// Profile measures the ILP characteristic of the stream from r under lat.
-// It computes critical paths over non-overlapping windows of each size in
-// windows (which must be positive and ascending) across at most maxInsts
-// instructions (0 = the whole stream).
-func Profile(r trace.Reader, windows []int, lat LatencyFunc, maxInsts int) (Characteristic, error) {
-	if len(windows) == 0 {
-		return Characteristic{}, fmt.Errorf("ilp: no window sizes given")
+// Profile measures the ILP characteristic of soa under lat. It computes
+// critical paths over non-overlapping windows of each size in windows (which
+// must be positive and ascending) across the first maxInsts records (0 = the
+// whole trace). The windows of each size are chopped inside consecutive
+// blocks of the largest size, so a size that does not divide the largest
+// never straddles a block boundary.
+func Profile(soa *trace.SoA, windows []int, lat LatencyFunc, maxInsts int) (Characteristic, error) {
+	if err := checkWindows(windows); err != nil {
+		return Characteristic{}, err
 	}
-	for i, w := range windows {
-		if w <= 0 || (i > 0 && w <= windows[i-1]) {
-			return Characteristic{}, fmt.Errorf("ilp: window sizes must be positive and ascending")
-		}
-	}
+	n := profiled(soa, maxInsts)
 	largest := windows[len(windows)-1]
-	buf := make([]isa.Inst, 0, largest)
+	scratch := make(Scratch, largest)
 	sums := make([]float64, len(windows))
 	counts := make([]int, len(windows))
-	total := 0
-	flush := func() {
-		if len(buf) == 0 {
-			return
-		}
+	for block := 0; block < n; block += largest {
+		end := min(block+largest, n)
 		for i, w := range windows {
-			// Chop the buffer into non-overlapping windows of size w.
-			for off := 0; off+w <= len(buf); off += w {
-				sums[i] += CriticalPath(buf[off:off+w], lat)
+			for lo := block; lo+w <= end; lo += w {
+				_, path := scratch.pathDepths(soa, lo, lo+w, lat)
+				sums[i] += path
 				counts[i]++
 			}
 		}
-		buf = buf[:0]
 	}
-	for maxInsts <= 0 || total < maxInsts {
-		in, err := r.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return Characteristic{}, err
-		}
-		buf = append(buf, in)
-		total++
-		if len(buf) == largest {
-			flush()
+	return characteristic(windows, sums, counts), nil
+}
+
+// checkWindows validates a window-size ladder: non-empty, positive and
+// strictly ascending.
+func checkWindows(windows []int) error {
+	if len(windows) == 0 {
+		return fmt.Errorf("ilp: no window sizes given")
+	}
+	for i, w := range windows {
+		if w <= 0 || (i > 0 && w <= windows[i-1]) {
+			return fmt.Errorf("ilp: window sizes must be positive and ascending")
 		}
 	}
-	flush()
+	return nil
+}
+
+// profiled returns how many leading records of soa a maxInsts bound (0 =
+// all) admits.
+func profiled(soa *trace.SoA, maxInsts int) int {
+	if n := soa.Len(); maxInsts <= 0 || maxInsts > n {
+		return n
+	}
+	return maxInsts
+}
+
+// characteristic averages per-window sums into K and fits the power law.
+func characteristic(windows []int, sums []float64, counts []int) Characteristic {
 	c := Characteristic{Windows: append([]int(nil), windows...), K: make([]float64, len(windows))}
 	for i := range windows {
 		if counts[i] > 0 {
@@ -197,7 +202,7 @@ func Profile(r trace.Reader, windows []int, lat LatencyFunc, maxInsts int) (Char
 		}
 	}
 	c.fit()
-	return c, nil
+	return c
 }
 
 // fit performs a least-squares power-law fit of the measured (w, K) points
@@ -238,100 +243,58 @@ func DefaultWindows() []int {
 	return []int{2, 4, 8, 16, 32, 64, 128, 256}
 }
 
-// ScheduledResolution estimates the resolution time of the last instruction
-// of insts (a branch) on a machine dispatching width instructions per cycle,
-// with unlimited functional units. Instruction i dispatches at cycle
-// (i+1-n)·/width relative to the branch (which dispatches at cycle 0),
-// issues no earlier than one cycle after dispatch and when its producers
-// complete, and completes lat(i) cycles later. Unlike a raw critical path,
-// this credits older window contents with the execution time they already
-// had before the branch arrived — which is why measured branch resolution
-// saturates well below the whole-window critical path.
-func ScheduledResolution(insts []isa.Inst, lat LatencyFunc, width int) float64 {
-	n := len(insts)
-	if n == 0 {
+// ScheduledResolution estimates the resolution time of record hi-1 of soa (a
+// branch) on a machine dispatching width instructions per cycle, with
+// unlimited functional units, when the window [lo, hi) leads up to it. Record
+// i dispatches at cycle (i+1-n)/width relative to the branch (which
+// dispatches at cycle 0; n = hi-lo and i counts from lo), issues no earlier
+// than one cycle after dispatch and when its producers complete, and
+// completes lat cycles later. Unlike a raw critical path, this credits older
+// window contents with the execution time they already had before the
+// branch arrived — which is why measured branch resolution saturates well
+// below the whole-window critical path.
+func (s *Scratch) ScheduledResolution(soa *trace.SoA, lo, hi int, lat LatencyFunc, width int) float64 {
+	n := hi - lo
+	if n <= 0 {
 		return 0
 	}
 	if width <= 0 {
 		width = 1
 	}
-	completion := make([]float64, n)
-	var regDone [isa.NumRegs]float64
-	for i := range regDone {
-		regDone[i] = negInf
+	done := s.window(n)
+	for i := lo; i < hi; i++ {
+		dispatch := float64(i-lo+1-n) / float64(width)
+		done[i-lo] = ready(soa, i, lo, done, dispatch+1) + lat(i, soa.Class(i))
 	}
-	storeDone := make(map[uint64]float64)
-	for i := range insts {
-		in := &insts[i]
-		issue := float64(i+1-n)/float64(width) + 1
-		if r := in.Src1; r != isa.NoReg && regDone[r] > issue {
-			issue = regDone[r]
-		}
-		if r := in.Src2; r != isa.NoReg && regDone[r] > issue {
-			issue = regDone[r]
-		}
-		if in.Class == isa.Load {
-			if d, ok := storeDone[in.Addr/8]; ok && d > issue {
-				issue = d
-			}
-		}
-		done := issue + lat(i, in)
-		completion[i] = done
-		if in.Dst != isa.NoReg {
-			regDone[in.Dst] = done
-		}
-		if in.Class == isa.Store {
-			storeDone[in.Addr/8] = done
-		}
-	}
-	res := completion[n-1]
+	res := done[n-1]
 	if res < 0 {
 		return 0
 	}
 	return res
 }
 
-const negInf = float64(-1 << 40)
-
 // ProfileResolution measures the branch-resolution characteristic: for each
 // window size w, the mean ScheduledResolution of a conditional branch over
 // the w instructions leading up to and including it, on a width-wide
-// machine. This is the drain curve a mispredicted branch actually sees — it
+// machine, across the first maxInsts records of soa (0 = the whole trace).
+// This is the drain curve a mispredicted branch actually sees — it
 // saturates once w exceeds the typical depth of the chains feeding branches,
 // unlike the whole-window characteristic which keeps growing. Branches are
 // sampled (every sample-th) to bound cost; sample <= 0 means every branch.
-func ProfileResolution(r trace.Reader, windows []int, lat LatencyFunc, width, maxInsts, sample int) (Characteristic, error) {
-	if len(windows) == 0 {
-		return Characteristic{}, fmt.Errorf("ilp: no window sizes given")
-	}
-	for i, w := range windows {
-		if w <= 0 || (i > 0 && w <= windows[i-1]) {
-			return Characteristic{}, fmt.Errorf("ilp: window sizes must be positive and ascending")
-		}
+// A branch with fewer than w records before it contributes no size-w window.
+func ProfileResolution(soa *trace.SoA, windows []int, lat LatencyFunc, width, maxInsts, sample int) (Characteristic, error) {
+	if err := checkWindows(windows); err != nil {
+		return Characteristic{}, err
 	}
 	if sample <= 0 {
 		sample = 1
 	}
-	largest := windows[len(windows)-1]
-	buf := make([]isa.Inst, 0, 2*largest)
+	scratch := make(Scratch, windows[len(windows)-1])
 	sums := make([]float64, len(windows))
 	counts := make([]int, len(windows))
-	total, branchSeen := 0, 0
-	for maxInsts <= 0 || total < maxInsts {
-		in, err := r.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return Characteristic{}, err
-		}
-		if len(buf) == 2*largest {
-			copy(buf, buf[largest:])
-			buf = buf[:largest]
-		}
-		buf = append(buf, in)
-		total++
-		if in.Class != isa.Branch {
+	branchSeen := 0
+	for t, n := 0, profiled(soa, maxInsts); t < n; t++ {
+		if soa.Class(t) != isa.Branch {
 			continue
 		}
 		branchSeen++
@@ -339,20 +302,11 @@ func ProfileResolution(r trace.Reader, windows []int, lat LatencyFunc, width, ma
 			continue
 		}
 		for i, w := range windows {
-			lo := len(buf) - w
-			if lo < 0 {
-				continue
+			if lo := t + 1 - w; lo >= 0 {
+				sums[i] += scratch.ScheduledResolution(soa, lo, t+1, lat, width)
+				counts[i]++
 			}
-			sums[i] += ScheduledResolution(buf[lo:], lat, width)
-			counts[i]++
 		}
 	}
-	c := Characteristic{Windows: append([]int(nil), windows...), K: make([]float64, len(windows))}
-	for i := range windows {
-		if counts[i] > 0 {
-			c.K[i] = sums[i] / float64(counts[i])
-		}
-	}
-	c.fit()
-	return c, nil
+	return characteristic(windows, sums, counts), nil
 }

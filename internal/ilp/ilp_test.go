@@ -14,8 +14,29 @@ func alu(src, dst int8) isa.Inst {
 	return isa.Inst{Class: isa.IntALU, Src1: src, Src2: isa.NoReg, Dst: dst}
 }
 
+// pack packs a hand-built window so the kernels see its producer indices.
+func pack(insts []isa.Inst) *trace.SoA { return trace.Pack(&trace.Trace{Insts: insts}) }
+
+// criticalPath, criticalPathTo and scheduledResolution run the window
+// kernels over the whole of a hand-built window.
+func criticalPath(insts []isa.Inst, lat LatencyFunc) float64 {
+	var s Scratch
+	_, path := s.pathDepths(pack(insts), 0, len(insts), lat)
+	return path
+}
+
+func criticalPathTo(insts []isa.Inst, lat LatencyFunc) float64 {
+	var s Scratch
+	return s.CriticalPathTo(pack(insts), 0, len(insts), lat)
+}
+
+func scheduledResolution(insts []isa.Inst, lat LatencyFunc, width int) float64 {
+	var s Scratch
+	return s.ScheduledResolution(pack(insts), 0, len(insts), lat, width)
+}
+
 func TestCriticalPathEmpty(t *testing.T) {
-	if CriticalPath(nil, UnitLatency) != 0 || CriticalPathTo(nil, UnitLatency) != 0 {
+	if criticalPath(nil, UnitLatency) != 0 || criticalPathTo(nil, UnitLatency) != 0 {
 		t.Fatal("empty window should have zero critical path")
 	}
 }
@@ -26,10 +47,10 @@ func TestCriticalPathSerialChain(t *testing.T) {
 	for i := range insts {
 		insts[i] = alu(8, 8)
 	}
-	if got := CriticalPath(insts, UnitLatency); got != 10 {
+	if got := criticalPath(insts, UnitLatency); got != 10 {
 		t.Errorf("serial chain CP = %v, want 10", got)
 	}
-	if got := CriticalPathTo(insts, UnitLatency); got != 10 {
+	if got := criticalPathTo(insts, UnitLatency); got != 10 {
 		t.Errorf("serial chain CPTo = %v, want 10", got)
 	}
 }
@@ -39,7 +60,7 @@ func TestCriticalPathIndependent(t *testing.T) {
 	for i := range insts {
 		insts[i] = alu(isa.NoReg, int8(8+i))
 	}
-	if got := CriticalPath(insts, UnitLatency); got != 1 {
+	if got := criticalPath(insts, UnitLatency); got != 1 {
 		t.Errorf("independent CP = %v, want 1", got)
 	}
 }
@@ -48,22 +69,22 @@ func TestCriticalPathToVersusMax(t *testing.T) {
 	// A long chain into r8 plus a final independent instruction: the window
 	// max is the chain, but the path TO the last instruction is 1.
 	insts := []isa.Inst{alu(8, 8), alu(8, 8), alu(8, 8), alu(isa.NoReg, 20)}
-	if got := CriticalPath(insts, UnitLatency); got != 3 {
+	if got := criticalPath(insts, UnitLatency); got != 3 {
 		t.Errorf("CP = %v, want 3", got)
 	}
-	if got := CriticalPathTo(insts, UnitLatency); got != 1 {
+	if got := criticalPathTo(insts, UnitLatency); got != 1 {
 		t.Errorf("CPTo = %v, want 1", got)
 	}
 	// If the last instruction reads the chain, it extends it.
 	insts[3] = alu(8, 20)
-	if got := CriticalPathTo(insts, UnitLatency); got != 4 {
+	if got := criticalPathTo(insts, UnitLatency); got != 4 {
 		t.Errorf("CPTo with dependence = %v, want 4", got)
 	}
 }
 
 func TestCriticalPathLatencies(t *testing.T) {
-	lat := func(_ int, in *isa.Inst) float64 {
-		if in.Class == isa.IntMul {
+	lat := func(_ int, c isa.Class) float64 {
+		if c == isa.IntMul {
 			return 3
 		}
 		return 1
@@ -73,7 +94,7 @@ func TestCriticalPathLatencies(t *testing.T) {
 		{Class: isa.IntMul, Src1: 8, Src2: isa.NoReg, Dst: 8},
 		alu(8, 9),
 	}
-	if got := CriticalPathTo(insts, lat); got != 7 {
+	if got := criticalPathTo(insts, lat); got != 7 {
 		t.Errorf("latency-weighted CPTo = %v, want 7", got)
 	}
 }
@@ -84,25 +105,44 @@ func TestCriticalPathMemoryDependence(t *testing.T) {
 	use := alu(9, 10)
 	chain := []isa.Inst{alu(8, 8), alu(8, 8), st, ld, use}
 	// 2 (chain) + 1 (store) + 1 (load) + 1 (use) = 5 through memory.
-	if got := CriticalPathTo(chain, UnitLatency); got != 5 {
+	if got := criticalPathTo(chain, UnitLatency); got != 5 {
 		t.Errorf("store→load chain CPTo = %v, want 5", got)
 	}
 	// Different address: no memory dependence, use path = load(1)+use(1) = 2.
 	chain[3].Addr = 0x2000
-	if got := CriticalPathTo(chain, UnitLatency); got != 2 {
+	if got := criticalPathTo(chain, UnitLatency); got != 2 {
 		t.Errorf("no-alias CPTo = %v, want 2", got)
 	}
 }
 
 func TestCriticalPathIndexPassedThrough(t *testing.T) {
 	seen := map[int]bool{}
-	lat := func(i int, _ *isa.Inst) float64 {
+	lat := func(i int, _ isa.Class) float64 {
 		seen[i] = true
 		return 1
 	}
-	CriticalPath([]isa.Inst{alu(8, 8), alu(8, 8), alu(8, 8)}, lat)
+	criticalPath([]isa.Inst{alu(8, 8), alu(8, 8), alu(8, 8)}, lat)
 	if len(seen) != 3 || !seen[0] || !seen[2] {
 		t.Errorf("indices seen: %v", seen)
+	}
+	// Indices are absolute trace positions, not offsets into the window.
+	seen = map[int]bool{}
+	var s Scratch
+	s.pathDepths(pack([]isa.Inst{alu(8, 8), alu(8, 8), alu(8, 8)}), 1, 3, lat)
+	if len(seen) != 2 || !seen[1] || !seen[2] {
+		t.Errorf("indices seen over [1,3): %v", seen)
+	}
+}
+
+func TestWindowIgnoresOlderProducers(t *testing.T) {
+	// A chain of four: the window [2,4) sees only its own two links.
+	soa := pack([]isa.Inst{alu(8, 8), alu(8, 8), alu(8, 8), alu(8, 8)})
+	var s Scratch
+	if got := s.CriticalPathTo(soa, 2, 4, UnitLatency); got != 2 {
+		t.Errorf("CPTo over [2,4) = %v, want 2", got)
+	}
+	if got := s.CriticalPathTo(soa, 0, 4, UnitLatency); got != 4 {
+		t.Errorf("CPTo over [0,4) = %v, want 4", got)
 	}
 }
 
@@ -120,8 +160,8 @@ func TestCriticalPathBoundsProperty(t *testing.T) {
 			}
 			insts[i] = alu(src, int8(8+s.Intn(16)))
 		}
-		cp1 := CriticalPath(insts, UnitLatency)
-		cp2 := CriticalPath(insts, func(_ int, _ *isa.Inst) float64 { return 2 })
+		cp1 := criticalPath(insts, UnitLatency)
+		cp2 := criticalPath(insts, func(int, isa.Class) float64 { return 2 })
 		if cp2 != 2*cp1 {
 			return false // uniform scaling must scale the path
 		}
@@ -152,20 +192,20 @@ func chainTrace(seed uint64, n int, p float64) *trace.Trace {
 
 func TestProfileValidation(t *testing.T) {
 	tr := chainTrace(1, 100, 0.5)
-	if _, err := Profile(tr.Reader(), nil, UnitLatency, 0); err == nil {
+	if _, err := Profile(trace.Pack(tr), nil, UnitLatency, 0); err == nil {
 		t.Error("empty windows accepted")
 	}
-	if _, err := Profile(tr.Reader(), []int{4, 4}, UnitLatency, 0); err == nil {
+	if _, err := Profile(trace.Pack(tr), []int{4, 4}, UnitLatency, 0); err == nil {
 		t.Error("non-ascending windows accepted")
 	}
-	if _, err := Profile(tr.Reader(), []int{0, 4}, UnitLatency, 0); err == nil {
+	if _, err := Profile(trace.Pack(tr), []int{0, 4}, UnitLatency, 0); err == nil {
 		t.Error("zero window accepted")
 	}
 }
 
 func TestProfileKGrowsWithWindow(t *testing.T) {
 	tr := chainTrace(2, 50000, 0.6)
-	c, err := Profile(tr.Reader(), DefaultWindows(), UnitLatency, 0)
+	c, err := Profile(trace.Pack(tr), DefaultWindows(), UnitLatency, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,11 +220,11 @@ func TestProfileKGrowsWithWindow(t *testing.T) {
 }
 
 func TestProfileSeparatesILPLevels(t *testing.T) {
-	lo, err := Profile(chainTrace(3, 50000, 0.9).Reader(), DefaultWindows(), UnitLatency, 0)
+	lo, err := Profile(trace.Pack(chainTrace(3, 50000, 0.9)), DefaultWindows(), UnitLatency, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hi, err := Profile(chainTrace(3, 50000, 0.1).Reader(), DefaultWindows(), UnitLatency, 0)
+	hi, err := Profile(trace.Pack(chainTrace(3, 50000, 0.1)), DefaultWindows(), UnitLatency, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +280,7 @@ func TestEvalDegenerate(t *testing.T) {
 
 func TestProfileMaxInsts(t *testing.T) {
 	tr := chainTrace(4, 10000, 0.5)
-	c, err := Profile(tr.Reader(), []int{2, 4}, UnitLatency, 100)
+	c, err := Profile(trace.Pack(tr), []int{2, 4}, UnitLatency, 100)
 	if err != nil {
 		t.Fatal(err)
 	}

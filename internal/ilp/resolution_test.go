@@ -1,19 +1,19 @@
 package ilp
 
 import (
-	"io"
 	"testing"
 
 	"intervalsim/internal/isa"
+	"intervalsim/internal/trace"
 )
 
 func TestScheduledResolutionEmptyAndWidth(t *testing.T) {
-	if ScheduledResolution(nil, UnitLatency, 4) != 0 {
+	if scheduledResolution(nil, UnitLatency, 4) != 0 {
 		t.Error("empty window should resolve in 0")
 	}
 	// Non-positive width treated as 1.
 	in := []isa.Inst{alu(isa.NoReg, 8)}
-	if got := ScheduledResolution(in, UnitLatency, 0); got != 2 {
+	if got := scheduledResolution(in, UnitLatency, 0); got != 2 {
 		t.Errorf("single inst at width 0 = %v, want 2 (dispatch 0, issue 1, done 2)", got)
 	}
 }
@@ -26,7 +26,7 @@ func TestScheduledResolutionIndependentLastInst(t *testing.T) {
 		window[i] = alu(8, 8) // long serial chain
 	}
 	window[63] = alu(isa.NoReg, 30)
-	if got := ScheduledResolution(window, UnitLatency, 4); got != 2 {
+	if got := scheduledResolution(window, UnitLatency, 4); got != 2 {
 		t.Errorf("independent branch resolution = %v, want 2", got)
 	}
 }
@@ -39,8 +39,8 @@ func TestScheduledResolutionCreditsOldWork(t *testing.T) {
 	for i := range window {
 		window[i] = alu(8, 8)
 	}
-	raw := CriticalPathTo(window, UnitLatency)
-	sched := ScheduledResolution(window, UnitLatency, 4)
+	raw := criticalPathTo(window, UnitLatency)
+	sched := scheduledResolution(window, UnitLatency, 4)
 	if raw != 8 {
 		t.Fatalf("raw = %v", raw)
 	}
@@ -55,13 +55,13 @@ func TestScheduledResolutionCreditsOldWork(t *testing.T) {
 func TestScheduledResolutionChainDominatesWhenSteep(t *testing.T) {
 	// With 20-cycle ops, the chain grows faster than dispatch retires it:
 	// the resolution approaches the raw weighted path.
-	lat20 := func(_ int, _ *isa.Inst) float64 { return 20 }
+	lat20 := func(int, isa.Class) float64 { return 20 }
 	window := make([]isa.Inst, 6)
 	for i := range window {
 		window[i] = alu(8, 8)
 	}
-	raw := CriticalPathTo(window, lat20)
-	sched := ScheduledResolution(window, lat20, 4)
+	raw := criticalPathTo(window, lat20)
+	sched := scheduledResolution(window, lat20, 4)
 	if sched < raw-10 {
 		t.Errorf("scheduled %v far below raw %v despite steep chain", sched, raw)
 	}
@@ -74,7 +74,7 @@ func TestScheduledResolutionNeverNegative(t *testing.T) {
 	for i := range window {
 		window[i] = alu(isa.NoReg, int8(8+i%32))
 	}
-	if got := ScheduledResolution(window, UnitLatency, 8); got < 0 {
+	if got := scheduledResolution(window, UnitLatency, 8); got < 0 {
 		t.Errorf("negative resolution %v", got)
 	}
 }
@@ -84,11 +84,11 @@ func TestProfileResolutionSaturates(t *testing.T) {
 	// characteristic must flatten while the whole-window K keeps rising.
 	tr := branchyTrace(11, 60_000)
 	windows := []int{2, 4, 8, 16, 32, 64, 128}
-	res, err := ProfileResolution(tr.Reader(), windows, UnitLatency, 4, 0, 1)
+	res, err := ProfileResolution(tr, windows, UnitLatency, 4, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := Profile(tr.Reader(), windows, UnitLatency, 0)
+	full, err := Profile(tr, windows, UnitLatency, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,11 +108,11 @@ func TestProfileResolutionSaturates(t *testing.T) {
 func TestProfileResolutionSampling(t *testing.T) {
 	tr := branchyTrace(13, 30_000)
 	windows := []int{4, 16, 64}
-	all, err := ProfileResolution(tr.Reader(), windows, UnitLatency, 4, 0, 1)
+	all, err := ProfileResolution(tr, windows, UnitLatency, 4, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sampled, err := ProfileResolution(tr.Reader(), windows, UnitLatency, 4, 0, 8)
+	sampled, err := ProfileResolution(tr, windows, UnitLatency, 4, 0, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,52 +132,30 @@ func TestProfileResolutionSampling(t *testing.T) {
 
 func TestProfileResolutionValidation(t *testing.T) {
 	tr := branchyTrace(17, 1000)
-	if _, err := ProfileResolution(tr.Reader(), nil, UnitLatency, 4, 0, 1); err == nil {
+	if _, err := ProfileResolution(tr, nil, UnitLatency, 4, 0, 1); err == nil {
 		t.Error("empty windows accepted")
 	}
-	if _, err := ProfileResolution(tr.Reader(), []int{8, 4}, UnitLatency, 4, 0, 1); err == nil {
+	if _, err := ProfileResolution(tr, []int{8, 4}, UnitLatency, 4, 0, 1); err == nil {
 		t.Error("descending windows accepted")
 	}
 }
 
 // branchyTrace builds blocks of chained ALU work ending in a branch that
 // tests the block's chain result.
-func branchyTrace(seed uint64, n int) *traceWrap {
-	t := &traceWrap{}
+func branchyTrace(seed uint64, n int) *trace.SoA {
+	var insts []isa.Inst
 	pc := uint64(0x1000)
-	for len(t.insts) < n {
-		chain := int8(8 + len(t.insts)%16)
+	for len(insts) < n {
+		chain := int8(8 + len(insts)%16)
 		for k := 0; k < 6; k++ {
-			t.insts = append(t.insts, alu(chain, chain))
+			insts = append(insts, alu(chain, chain))
 			pc += 4
 		}
-		t.insts = append(t.insts, isa.Inst{
+		insts = append(insts, isa.Inst{
 			PC: pc, Class: isa.Branch, Src1: chain, Src2: isa.NoReg, Dst: isa.NoReg,
-			Target: 0x1000, Taken: len(t.insts)%3 != 0,
+			Target: 0x1000, Taken: len(insts)%3 != 0,
 		})
 		pc += 4
 	}
-	return t
+	return pack(insts)
 }
-
-// traceWrap is a minimal in-package stand-in for trace.Trace to avoid the
-// import in this focused test file.
-type traceWrap struct{ insts []isa.Inst }
-
-func (t *traceWrap) Reader() *wrapReader { return &wrapReader{insts: t.insts} }
-
-type wrapReader struct {
-	insts []isa.Inst
-	pos   int
-}
-
-func (r *wrapReader) Next() (isa.Inst, error) {
-	if r.pos >= len(r.insts) {
-		return isa.Inst{}, errEOF
-	}
-	in := r.insts[r.pos]
-	r.pos++
-	return in, nil
-}
-
-var errEOF = io.EOF

@@ -261,11 +261,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // cache, each filled from fleet peers when they have it) and returns the
 // design-point executor over them.
 func (s *Server) executor(in simInputs, spec engine.Spec, maxROB int) (*engine.Executor, error) {
-	tr, soa, err := s.sharedTrace(in.wc, in.insts)
+	soa, err := s.sharedTrace(in.wc, in.insts)
 	if err != nil {
 		return nil, err
 	}
-	return engine.New(spec, in.cfg, maxROB, tr, soa, s.overlayFor)
+	return engine.New(spec, in.cfg, maxROB, soa, s.overlayFor)
 }
 
 // streamTasks names and schedules the pool tasks of one streamed run.

@@ -83,7 +83,7 @@ func TestBatchDecomposeMatchesDirect(t *testing.T) {
 	}
 
 	wc, _ := workload.SuiteConfig("gzip")
-	tr, soa, err := experiments.SharedTrace(wc, insts)
+	soa, err := experiments.SharedTrace(wc, insts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestBatchDecomposeMatchesDirect(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dec, err := core.NewDecomposer(tr, res)
+		dec, err := core.NewPackedDecomposer(soa, res)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -379,7 +379,7 @@ func TestSweepClientDisconnectFreesWorkers(t *testing.T) {
 // this is the distributed sweep's byte-parity contract at the field level.
 func TestBatchPointResultRoundTrip(t *testing.T) {
 	wc, _ := workload.SuiteConfig("gzip")
-	tr, soa, err := experiments.SharedTrace(wc, 12_000)
+	soa, err := experiments.SharedTrace(wc, 12_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +388,7 @@ func TestBatchPointResultRoundTrip(t *testing.T) {
 	for _, mode := range []string{engine.ModeSim, engine.ModeSampled, engine.ModeModel} {
 		spec := engine.Spec{Mode: mode, Insts: 12_000, Warmup: 2_000, Decompose: mode == engine.ModeSim,
 			SampleDetailed: 1_000, SampleSkip: 2_000}
-		exec, err := engine.New(spec, uarch.Baseline(), 256, tr, soa, overlay.Shared.GetSpec)
+		exec, err := engine.New(spec, uarch.Baseline(), 256, soa, overlay.Shared.GetSpec)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -337,9 +337,9 @@ func (s *Server) fetchPeerOverlay(fp, traceFP string, soa *trace.SoA, pred bpred
 // generation. The fill hook runs inside the cache's per-key single flight,
 // so a fleet-wide artifact is fetched (or generated) at most once per daemon
 // however many requests race on it.
-func (s *Server) sharedTrace(wc workload.Config, insts int) (*trace.Trace, *trace.SoA, error) {
+func (s *Server) sharedTrace(wc workload.Config, insts int) (*trace.SoA, error) {
 	fp := TraceFingerprint(wc, insts)
-	tr, soa, err := s.traces.SharedVia(wc, insts, func() *trace.SoA {
+	soa, err := s.traces.SharedVia(wc, insts, func() *trace.SoA {
 		if soa := s.fills.getTrace(fp); soa != nil {
 			s.pf.traceFills.Add(1) // push-filled by a peer earlier
 			return soa
@@ -352,10 +352,10 @@ func (s *Server) sharedTrace(wc workload.Config, insts int) (*trace.Trace, *trac
 		return nil
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	s.fills.putTrace(fp, soa)
-	return tr, soa, nil
+	return soa, nil
 }
 
 // overlayFor resolves the overlay of (soa, pred, mem, vp) through the

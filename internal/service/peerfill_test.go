@@ -34,7 +34,7 @@ func TestPeerFillEndToEnd(t *testing.T) {
 	base := uarch.Baseline()
 
 	// Warm A locally: one trace generation, one overlay computation.
-	_, soaA, err := a.sharedTrace(wc, insts)
+	soaA, err := a.sharedTrace(wc, insts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestPeerFillEndToEnd(t *testing.T) {
 	}
 
 	// B resolves the same artifacts: both must come from A, not local work.
-	_, soaB, err := b.sharedTrace(wc, insts)
+	soaB, err := b.sharedTrace(wc, insts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestPeerFillFallsBackPastDeadPeer(t *testing.T) {
 		Peers:      []string{"http://127.0.0.1:1"}, // nothing listens here
 	})
 	wc, _ := workload.SuiteConfig("gzip")
-	_, soa, err := s.sharedTrace(wc, 8_000)
+	soa, err := s.sharedTrace(wc, 8_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestPeerFillConcurrentStress(t *testing.T) {
 	wc, _ := workload.SuiteConfig("gzip")
 	const insts = 8_000
 	base := uarch.Baseline()
-	if _, soa, err := a.sharedTrace(wc, insts); err != nil {
+	if soa, err := a.sharedTrace(wc, insts); err != nil {
 		t.Fatal(err)
 	} else if _, err := a.overlayFor(soa, base.Pred, base.Mem, nil); err != nil {
 		t.Fatal(err)
@@ -130,7 +130,7 @@ func TestPeerFillConcurrentStress(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, soa, err := b.sharedTrace(wc, insts)
+			soa, err := b.sharedTrace(wc, insts)
 			if err != nil {
 				errs[i] = err
 				return
@@ -165,7 +165,7 @@ func TestPeerFillHandlers(t *testing.T) {
 	wc, _ := workload.SuiteConfig("gzip")
 	const insts = 6_000
 	base := uarch.Baseline()
-	_, soa, err := a.sharedTrace(wc, insts)
+	soa, err := a.sharedTrace(wc, insts)
 	if err != nil {
 		t.Fatal(err)
 	}

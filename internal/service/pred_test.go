@@ -86,7 +86,7 @@ func TestSimulatePredictorPreset(t *testing.T) {
 	}
 
 	wc, _ := workload.SuiteConfig("gzip")
-	_, soa, err := experiments.SharedTrace(wc, insts)
+	soa, err := experiments.SharedTrace(wc, insts)
 	if err != nil {
 		t.Fatalf("SharedTrace: %v", err)
 	}

@@ -115,7 +115,7 @@ func TestSimulateEndToEnd(t *testing.T) {
 	if !ok {
 		t.Fatal("gzip missing from suite")
 	}
-	_, soa, err := experiments.SharedTrace(wc, insts)
+	soa, err := experiments.SharedTrace(wc, insts)
 	if err != nil {
 		t.Fatalf("SharedTrace: %v", err)
 	}

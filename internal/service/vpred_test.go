@@ -215,7 +215,7 @@ func TestSimulateVPredEndToEnd(t *testing.T) {
 	}
 
 	wc, _ := workload.SuiteConfig("gzip")
-	_, soa, err := experiments.SharedTrace(wc, insts)
+	soa, err := experiments.SharedTrace(wc, insts)
 	if err != nil {
 		t.Fatalf("SharedTrace: %v", err)
 	}

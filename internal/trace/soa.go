@@ -21,7 +21,8 @@ import (
 // property of the trace alone, so a trace packed once is reused across every
 // machine configuration of a sweep with no per-run rediscovery.
 //
-// Invariants (established by Pack/PackReader, relied on by internal/uarch):
+// Invariants (established by Pack/PackReader, relied on by internal/uarch,
+// internal/ilp and internal/core):
 //
 //   - All slices have identical length Len().
 //   - Meta[i] packs the class in the low 4 bits and the taken flag in bit 4,
