@@ -37,6 +37,7 @@ import (
 	"intervalsim/internal/bpred"
 	"intervalsim/internal/cluster"
 	"intervalsim/internal/core"
+	"intervalsim/internal/engine"
 	"intervalsim/internal/experiments"
 	"intervalsim/internal/isa"
 	"intervalsim/internal/overlay"
@@ -425,7 +426,7 @@ func timeFleet(n, cpd int, share bool, benches []string, insts int, widths, dept
 		Widths:          widths,
 		Depths:          depths,
 		ROBs:            robs,
-		Insts:           insts,
+		Spec:            engine.Spec{Insts: insts},
 		BatchSize:       1,
 		KeepGoing:       true,
 		DisablePeerFill: !share,

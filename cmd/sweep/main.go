@@ -33,7 +33,11 @@
 //
 //	sweep [-bench crafty] [-mode sim|sampled|model] [-insts N] [-warmup N]
 //	      [-pred P] [-vpred V] [-fetchrate R] [-sample-detailed N] [-sample-skip N]
-//	      [-j N] [-timeout D] [-retries N] [-keep-going] [-endpoints host:port,...] > sweep.csv
+//	      [-j N] [-timeout D] [-retries N] [-keep-going] [-endpoints host:port,...] [-version] > sweep.csv
+//
+// The run-axis flags (-mode through -sample-skip) come from engine.Spec,
+// which also checks them: sweepctl, the cluster coordinator and the
+// daemon's endpoints refuse a bad run with the same messages.
 //
 // Exit codes: 0 success, 1 runtime error or failed points, 2 usage error.
 package main
@@ -50,7 +54,6 @@ import (
 	"sync"
 	"time"
 
-	"intervalsim/internal/bpred"
 	"intervalsim/internal/cluster"
 	"intervalsim/internal/engine"
 	"intervalsim/internal/experiments"
@@ -60,7 +63,6 @@ import (
 	"intervalsim/internal/trace"
 	"intervalsim/internal/uarch"
 	"intervalsim/internal/version"
-	"intervalsim/internal/vpred"
 	"intervalsim/internal/workload"
 )
 
@@ -74,15 +76,9 @@ var testPointHook func(cfg *uarch.Config)
 func realMain(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	var spec engine.Spec
+	spec.Flags(fs)
 	bench := fs.String("bench", "crafty", "benchmark to sweep")
-	pred := fs.String("pred", "", "branch predictor preset for every grid point (e.g. tage, 2bc-gskew, gshare; empty = baseline tournament)")
-	vpredName := fs.String("vpred", "", "value predictor preset for every grid point (e.g. last-value, stride, fcm; empty = no value speculation)")
-	fetchRate := fs.Float64("fetchrate", 0, "fetch rate after low-confidence branches, in (0, 1] (0 = full rate, no throttling)")
-	mode := fs.String("mode", "sim", "engine per grid point: sim (cycle-level), sampled (systematic sampling with confidence intervals), or model (analytic interval model)")
-	insts := fs.Int("insts", 1_000_000, "dynamic instructions per point")
-	warmup := fs.Uint64("warmup", 200_000, "warmup instructions per point (the initial functional skip in sampled mode)")
-	sampleDetailed := fs.Uint64("sample-detailed", 2_000, "instructions per detailed phase (-mode sampled)")
-	sampleSkip := fs.Uint64("sample-skip", 18_000, "instructions functionally warmed between detailed phases (-mode sampled)")
 	jobs := fs.Int("j", runtime.GOMAXPROCS(0), "design points simulated in parallel")
 	keepGoing := fs.Bool("keep-going", true, "continue past failed design points (successful rows are always emitted)")
 	timeout := fs.Duration("timeout", 0, "wall-clock deadline per design point (0 = none)")
@@ -105,57 +101,17 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "sweep: unknown benchmark %q\n", *bench)
 		return 2
 	}
-	if err := engine.CheckMode(*mode); err != nil {
+	if err := spec.Validate(); err != nil {
 		fmt.Fprintln(stderr, "sweep:", err)
 		return 2
 	}
-	if *insts <= 0 {
-		fmt.Fprintf(stderr, "sweep: -insts must be positive, got %d\n", *insts)
-		return 2
-	}
-	if *warmup >= uint64(*insts) {
-		fmt.Fprintf(stderr, "sweep: -warmup %d must be less than -insts %d\n", *warmup, *insts)
-		return 2
-	}
-	if *mode == "sampled" && (*sampleDetailed == 0 || *sampleSkip == 0) {
-		fmt.Fprintf(stderr, "sweep: -sample-detailed and -sample-skip must be positive in sampled mode\n")
-		return 2
-	}
-	if *pred != "" {
-		if _, ok := bpred.Preset(*pred); !ok {
-			fmt.Fprintf(stderr, "sweep: unknown predictor preset %q (want one of %s)\n",
-				*pred, strings.Join(bpred.PresetNames(), ", "))
-			return 2
-		}
-	}
-	if *vpredName != "" {
-		if _, ok := vpred.Preset(*vpredName); !ok {
-			fmt.Fprintf(stderr, "sweep: unknown value predictor preset %q (want one of %s)\n",
-				*vpredName, strings.Join(vpred.PresetNames(), ", "))
-			return 2
-		}
-	}
-	if *fetchRate < 0 || *fetchRate > 1 {
-		fmt.Fprintf(stderr, "sweep: -fetchrate %v outside (0, 1]\n", *fetchRate)
-		return 2
-	}
-	params := sweepParams{
-		spec: engine.Spec{
-			Mode:           *mode,
-			Insts:          *insts,
-			Warmup:         *warmup,
-			Decompose:      *mode == engine.ModeSim,
-			SampleDetailed: *sampleDetailed,
-			SampleSkip:     *sampleSkip,
-		},
-		pred:      *pred,
-		vpred:     *vpredName,
-		fetchRate: *fetchRate,
-	}
+	// Sim rows always carry the penalty decomposition.
+	spec = spec.Canonical()
+	spec.Decompose = spec.Mode == engine.ModeSim
 	if *endpoints != "" {
-		return runCluster(stdout, stderr, *endpoints, *bench, params, *timeout, *retries, *keepGoing)
+		return runCluster(stdout, stderr, *endpoints, *bench, spec, *timeout, *retries, *keepGoing)
 	}
-	err := run(context.Background(), stdout, stderr, wc, params, harness.Options{
+	err := run(context.Background(), stdout, stderr, wc, spec, harness.Options{
 		Workers:   *jobs,
 		Timeout:   *timeout,
 		Retries:   *retries,
@@ -168,21 +124,11 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// sweepParams bundles the engine selection of one sweep invocation: the
-// executor spec (sim rows always carry the penalty decomposition) and the
-// speculation axes every grid point shares.
-type sweepParams struct {
-	spec      engine.Spec
-	pred      string  // predictor preset name; "" = baseline tournament
-	vpred     string  // value predictor preset name; "" = no value speculation
-	fetchRate float64 // post-low-confidence-branch fetch rate; 0 = full
-}
-
 // runCluster delegates the sweep to a fleet of intervalsimd daemons through
 // the cluster coordinator. The grid and the CSV output are exactly the
 // in-process sweep's; only the execution is distributed, so the bytes on
 // stdout must not depend on which path ran.
-func runCluster(stdout, stderr io.Writer, endpoints, bench string, p sweepParams, timeout time.Duration, retries int, keepGoing bool) int {
+func runCluster(stdout, stderr io.Writer, endpoints, bench string, spec engine.Spec, timeout time.Duration, retries int, keepGoing bool) int {
 	var eps []string
 	for _, ep := range strings.Split(endpoints, ",") {
 		if ep = strings.TrimSpace(ep); ep != "" {
@@ -190,24 +136,17 @@ func runCluster(stdout, stderr io.Writer, endpoints, bench string, p sweepParams
 		}
 	}
 	widths, depths, robs := experiments.DefaultGrid()
-	sink := cluster.NewCSVSink(stdout, p.spec.Mode, false)
+	sink := cluster.NewCSVSink(stdout, spec.Mode, false)
 	stats, runErr := cluster.Run(context.Background(), cluster.Options{
-		Endpoints:      eps,
-		Benches:        []string{bench},
-		Widths:         widths,
-		Depths:         depths,
-		ROBs:           robs,
-		Mode:           p.spec.Mode,
-		Insts:          p.spec.Insts,
-		Warmup:         p.spec.Warmup,
-		Pred:           p.pred,
-		VPred:          p.vpred,
-		FetchRate:      p.fetchRate,
-		SampleDetailed: p.spec.SampleDetailed,
-		SampleSkip:     p.spec.SampleSkip,
-		PointTimeout:   timeout,
-		Retries:        retries,
-		KeepGoing:      keepGoing,
+		Endpoints:    eps,
+		Benches:      []string{bench},
+		Widths:       widths,
+		Depths:       depths,
+		ROBs:         robs,
+		Spec:         spec,
+		PointTimeout: timeout,
+		Retries:      retries,
+		KeepGoing:    keepGoing,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(stderr, format+"\n", args...)
 		},
@@ -225,15 +164,16 @@ func runCluster(stdout, stderr io.Writer, endpoints, bench string, p sweepParams
 	return 0
 }
 
-// grid enumerates the design points in canonical (width, depth, rob) order —
-// the order CSV rows are emitted in, regardless of execution schedule.
-func grid() []uarch.Config {
+// grid enumerates the design points on base in canonical (width, depth,
+// rob) order — the order CSV rows are emitted in, regardless of execution
+// schedule.
+func grid(base uarch.Config) []uarch.Config {
 	widths, depths, robs := experiments.DefaultGrid()
 	var out []uarch.Config
 	for _, width := range widths {
 		for _, depth := range depths {
 			for _, rob := range robs {
-				cfg := experiments.Point(width, depth, rob)
+				cfg := engine.PointConfig(base, width, depth, rob)
 				if testPointHook != nil {
 					testPointHook(&cfg)
 				}
@@ -287,11 +227,11 @@ func (pt *pathTally) summarize(w io.Writer) {
 	}
 }
 
-func run(ctx context.Context, stdout, stderr io.Writer, wc workload.Config, p sweepParams, hopts harness.Options) error {
+func run(ctx context.Context, stdout, stderr io.Writer, wc workload.Config, spec engine.Spec, hopts harness.Options) error {
 	// Pack the trace once: every grid point reuses the struct-of-arrays
 	// layout and its precomputed dependence metadata (the simulator's
 	// index-based fast path), instead of re-decoding per configuration.
-	soa, err := trace.PackReader(workload.MustNew(wc, p.spec.Insts))
+	soa, err := trace.PackReader(workload.MustNew(wc, spec.Insts))
 	if err != nil {
 		return err
 	}
@@ -302,38 +242,17 @@ func run(ctx context.Context, stdout, stderr io.Writer, wc workload.Config, p sw
 	// whose speculation configuration diverges (e.g. via testPointHook) is
 	// caught by the simulator's fingerprint check and falls back to live
 	// simulation, which the path summary below makes visible.
-	base := uarch.Baseline()
-	if p.pred != "" {
-		preset, ok := bpred.Preset(p.pred)
-		if !ok {
-			return fmt.Errorf("unknown predictor preset %q", p.pred)
-		}
-		base.Pred = preset
-	}
-	if p.vpred != "" {
-		preset, ok := vpred.Preset(p.vpred)
-		if !ok {
-			return fmt.Errorf("unknown value predictor preset %q", p.vpred)
-		}
-		// The preset carries predictor geometry only; the value stream is the
-		// workload's, so the same preset means the same run everywhere.
-		preset.Stream = wc.ValueStream()
-		base.VPred = &preset
-	}
-	base.FetchRate = p.fetchRate
+	base := spec.Machine(wc)
 	_, _, robs := experiments.DefaultGrid()
-	exec, err := engine.New(p.spec, base, robs[len(robs)-1], soa, overlay.Shared.GetSpec)
+	exec, err := engine.New(spec, base, robs[len(robs)-1], soa, overlay.Shared.GetSpec)
 	if err != nil {
 		return err
 	}
 
-	points := grid()
+	points := grid(base)
 	var tally pathTally
 	jobs := make([]harness.Job[[]string], len(points))
 	for i, cfg := range points {
-		cfg.Pred = base.Pred
-		cfg.VPred = base.VPred
-		cfg.FetchRate = base.FetchRate
 		jobs[i] = harness.Job[[]string]{
 			Name: cfg.Name,
 			Run: func(ctx context.Context) ([]string, error) {
@@ -344,7 +263,7 @@ func run(ctx context.Context, stdout, stderr io.Writer, wc workload.Config, p sw
 				if res.Sim != nil {
 					tally.note(res.Sim)
 				}
-				return engine.CSVRow(p.spec.Mode, cfg.DispatchWidth, cfg.FrontendDepth, cfg.ROBSize, res), nil
+				return engine.CSVRow(spec.Mode, cfg.DispatchWidth, cfg.FrontendDepth, cfg.ROBSize, res), nil
 			},
 		}
 	}
@@ -352,7 +271,7 @@ func run(ctx context.Context, stdout, stderr io.Writer, wc workload.Config, p sw
 	results, runErr := harness.Run(ctx, jobs, hopts)
 
 	// Fail-soft emission: every completed row, in grid order.
-	t := report.New("", engine.CSVHeader(p.spec.Mode)...)
+	t := report.New("", engine.CSVHeader(spec.Mode)...)
 	for _, r := range results {
 		if r.Err == nil {
 			t.AddRow(r.Value...)

@@ -162,9 +162,9 @@ func TestUsageErrors(t *testing.T) {
 		want string
 	}{
 		"lockstep is no longer a mode": {[]string{"-mode", "lockstep"}, "(want sim, sampled or model)"},
-		"negative insts":               {[]string{"-insts", "-5"}, "-insts must be positive"},
-		"warmup past insts":            {[]string{"-insts", "2000", "-warmup", "5000"}, "-warmup 5000 must be less than -insts 2000"},
-		"warmup equal to insts":        {[]string{"-insts", "2000", "-warmup", "2000"}, "-warmup 2000 must be less than -insts 2000"},
+		"negative insts":               {[]string{"-insts", "-5"}, "insts must be positive, got -5"},
+		"warmup past insts":            {[]string{"-insts", "2000", "-warmup", "5000"}, "warmup 5000 must be less than insts 2000"},
+		"warmup equal to insts":        {[]string{"-insts", "2000", "-warmup", "2000"}, "warmup 2000 must be less than insts 2000"},
 	} {
 		out.Reset()
 		errb.Reset()

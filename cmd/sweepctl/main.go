@@ -8,10 +8,16 @@
 //
 // Usage:
 //
-//	sweepctl -endpoints host:8080,host:8081 [-bench crafty,gcc] [-mode sim|model]
-//	         [-insts N] [-warmup N] [-widths 2,4,8] [-depths 3,7,11] [-robs 64,128,256]
+//	sweepctl -endpoints host:8080,host:8081 [-bench crafty,gcc] [-mode sim|sampled|model]
+//	         [-insts N] [-warmup N] [-pred P] [-vpred V] [-fetchrate R]
+//	         [-sample-detailed N] [-sample-skip N]
+//	         [-widths 2,4,8] [-depths 3,7,11] [-robs 64,128,256]
 //	         [-batch N] [-timeout D] [-retries N] [-keep-going] [-steal-after D]
-//	         [-format csv|ndjson] [-dry-run] > sweep.csv
+//	         [-ring-replicas N] [-peer-fill] [-format csv|ndjson] [-dry-run] [-version] > sweep.csv
+//
+// The run-axis flags (-mode through -sample-skip) are the sweep command's:
+// both register them from engine.Spec, with the same defaults and the same
+// admission errors.
 //
 // -dry-run prints the shard plan — which batches would go to which endpoint
 // — without dispatching anything. The end-of-sweep fleet summary (per-node
@@ -32,11 +38,10 @@ import (
 	"syscall"
 	"time"
 
-	"intervalsim/internal/bpred"
 	"intervalsim/internal/cluster"
+	"intervalsim/internal/engine"
 	"intervalsim/internal/experiments"
 	"intervalsim/internal/version"
-	"intervalsim/internal/vpred"
 	"intervalsim/internal/workload"
 )
 
@@ -80,12 +85,8 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	endpoints := fs.String("endpoints", "", "comma-separated intervalsimd endpoints (host:port or URL)")
 	bench := fs.String("bench", "crafty", "comma-separated benchmarks to sweep")
-	mode := fs.String("mode", "sim", "engine per grid point: sim (cycle-level) or model (analytic interval model)")
-	insts := fs.Int("insts", 1_000_000, "dynamic instructions per point")
-	warmup := fs.Uint64("warmup", 200_000, "warmup instructions per point")
-	pred := fs.String("pred", "", "branch predictor preset for every grid point (e.g. tage, 2bc-gskew; empty = baseline tournament)")
-	vpredName := fs.String("vpred", "", "value predictor preset for every grid point (e.g. last-value, stride, fcm; empty = no value speculation)")
-	fetchRate := fs.Float64("fetchrate", 0, "fetch rate after low-confidence branches, in (0, 1] (0 = full rate)")
+	var spec engine.Spec
+	spec.Flags(fs)
 	defWidths, defDepths, defROBs := experiments.DefaultGrid()
 	widths := fs.String("widths", joinInts(defWidths), "dispatch-width axis")
 	depths := fs.String("depths", joinInts(defDepths), "frontend-depth axis")
@@ -128,42 +129,17 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 	}
-	if *mode != "sim" && *mode != "model" {
-		fmt.Fprintf(stderr, "sweepctl: unknown mode %q (want sim or model)\n", *mode)
+	if err := spec.Validate(); err != nil {
+		fmt.Fprintln(stderr, "sweepctl:", err)
 		return 2
 	}
-	if *insts <= 0 {
-		fmt.Fprintf(stderr, "sweepctl: -insts must be positive, got %d\n", *insts)
-		return 2
-	}
-	if *warmup >= uint64(*insts) {
-		fmt.Fprintf(stderr, "sweepctl: -warmup %d must be less than -insts %d\n", *warmup, *insts)
-		return 2
-	}
+	spec = spec.Canonical()
 	if *format != "csv" && *format != "ndjson" {
 		fmt.Fprintf(stderr, "sweepctl: unknown format %q (want csv or ndjson)\n", *format)
 		return 2
 	}
 	if *ringReplicas < 0 {
 		fmt.Fprintf(stderr, "sweepctl: bad -ring-replicas %d (want a positive count, or 0 for the default)\n", *ringReplicas)
-		return 2
-	}
-	if *pred != "" {
-		if _, ok := bpred.Preset(*pred); !ok {
-			fmt.Fprintf(stderr, "sweepctl: unknown predictor preset %q (want one of %s)\n",
-				*pred, strings.Join(bpred.PresetNames(), ", "))
-			return 2
-		}
-	}
-	if *vpredName != "" {
-		if _, ok := vpred.Preset(*vpredName); !ok {
-			fmt.Fprintf(stderr, "sweepctl: unknown value predictor preset %q (want one of %s)\n",
-				*vpredName, strings.Join(vpred.PresetNames(), ", "))
-			return 2
-		}
-	}
-	if *fetchRate < 0 || *fetchRate > 1 {
-		fmt.Fprintf(stderr, "sweepctl: -fetchrate %v outside (0, 1]\n", *fetchRate)
 		return 2
 	}
 	ws, err := splitInts(*widths)
@@ -214,12 +190,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		Widths:          ws,
 		Depths:          ds,
 		ROBs:            rs,
-		Mode:            *mode,
-		Insts:           *insts,
-		Warmup:          *warmup,
-		Pred:            *pred,
-		VPred:           *vpredName,
-		FetchRate:       *fetchRate,
+		Spec:            spec,
 		BatchSize:       *batch,
 		PointTimeout:    *timeout,
 		Retries:         *retries,
@@ -238,7 +209,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	)
 	switch *format {
 	case "csv":
-		sink := cluster.NewCSVSink(stdout, *mode, len(benches) > 1)
+		sink := cluster.NewCSVSink(stdout, spec.Mode, len(benches) > 1)
 		emit, finish = sink.Emit, sink.Finish
 	case "ndjson":
 		sink := cluster.NewNDJSONSink(stdout)

@@ -6,14 +6,18 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 	"time"
 
 	"intervalsim/internal/core"
+	"intervalsim/internal/engine"
 	"intervalsim/internal/experiments"
 	"intervalsim/internal/overlay"
+	"intervalsim/internal/report"
 	"intervalsim/internal/service"
+	"intervalsim/internal/trace"
 	"intervalsim/internal/uarch"
 	"intervalsim/internal/workload"
 )
@@ -178,5 +182,91 @@ func TestNDJSONFormat(t *testing.T) {
 		if row.Bench != "gzip" || row.Seq != i || row.IPC <= 0 {
 			t.Errorf("line %d = %+v, want gzip seq %d with positive ipc", i, row, i)
 		}
+	}
+}
+
+// TestAdmissionParity: every refusal of the shared run-spec table
+// (internal/engine/testdata/admission.json) exits 2 with the rule's one
+// message behind sweepctl's prefix, before any endpoint is contacted.
+// Decompose is not a sweepctl flag, so that row does not apply.
+func TestAdmissionParity(t *testing.T) {
+	var cases []struct {
+		Name string
+		Spec engine.Spec
+		Want string
+	}
+	raw, err := os.ReadFile("../../internal/engine/testdata/admission.json")
+	if err == nil {
+		err = json.Unmarshal(raw, &cases)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cases {
+		s := c.Spec
+		if s.Decompose {
+			continue
+		}
+		args := []string{"-endpoints", "127.0.0.1:1", "-bench", "gzip",
+			"-mode=" + s.Mode, fmt.Sprint("-insts=", s.Insts), fmt.Sprint("-warmup=", s.Warmup),
+			"-pred=" + s.Pred, "-vpred=" + s.VPred, fmt.Sprint("-fetchrate=", s.FetchRate),
+			fmt.Sprint("-sample-detailed=", s.SampleDetailed), fmt.Sprint("-sample-skip=", s.SampleSkip)}
+		var out, errb bytes.Buffer
+		if code := realMain(args, &out, &errb); code != 2 || errb.String() != "sweepctl: "+c.Want+"\n" {
+			t.Errorf("%s: exit %d, stderr %q, want 2 and %q", c.Name, code, errb.String(), "sweepctl: "+c.Want)
+		}
+	}
+}
+
+// TestSampledMatchesInProcess: sweepctl runs sampled sweeps, and the merged
+// CSV from two daemons is byte-equal to the in-process sweep's (the
+// canonical grid through internal/engine, rendered as cmd/sweep renders it).
+func TestSampledMatchesInProcess(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-grid distributed sweep skipped in -short mode")
+	}
+	a, b := bootDaemon(t), bootDaemon(t)
+	spec := engine.Spec{Mode: engine.ModeSampled, Insts: 12_000, Warmup: 2_000, SampleDetailed: 500, SampleSkip: 1_500}
+	var out, errb bytes.Buffer
+	code := realMain([]string{
+		"-endpoints", a.URL + "," + b.URL, "-bench", "gzip", "-mode", "sampled",
+		"-insts", "12000", "-warmup", "2000", "-sample-detailed", "500", "-sample-skip", "1500",
+	}, &out, &errb)
+	if code != 0 {
+		t.Fatalf("exit = %d (stderr: %s)", code, errb.String())
+	}
+
+	wc, _ := workload.SuiteConfig("gzip")
+	soa, err := trace.PackReader(workload.MustNew(wc, spec.Insts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := spec.Machine(wc)
+	exec, err := engine.New(spec, base, 256, soa, overlay.Shared.GetSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := report.New("", engine.CSVHeader(spec.Mode)...)
+	widths, depths, robs := experiments.DefaultGrid()
+	for _, w := range widths {
+		for _, d := range depths {
+			for _, r := range robs {
+				res, err := exec.Run(context.Background(), engine.PointConfig(base, w, d, r))
+				if err != nil {
+					t.Fatal(err)
+				}
+				want.AddRow(engine.CSVRow(spec.Mode, w, d, r, res)...)
+			}
+		}
+	}
+	var ref bytes.Buffer
+	if err := want.FprintCSV(&ref); err != nil {
+		t.Fatal(err)
+	}
+	if out.String() != ref.String() {
+		t.Errorf("sampled sweepctl CSV differs from in-process:\n--- sweepctl ---\n%s--- in-process ---\n%s", out.String(), ref.String())
+	}
+	if !strings.Contains(errb.String(), "cluster: 27 points (27 ok, 0 failed)") {
+		t.Errorf("stderr missing fleet summary:\n%s", errb.String())
 	}
 }

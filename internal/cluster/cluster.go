@@ -38,21 +38,9 @@ type Options struct {
 
 	Widths, Depths, ROBs []int // design-space axes, in output order
 
-	Mode   string // "sim" (default), "sampled", or "model"
-	Insts  int    // dynamic instructions per point
-	Warmup uint64 // warmup instructions per point
-	Pred   string // predictor preset for every point ("" = baseline tournament)
-
-	// VPred is the value-predictor preset for every point ("" = no value
-	// speculation); FetchRate throttles frontend fetch after low-confidence
-	// branches (0 = full rate). Both are validated at daemon admission.
-	VPred     string
-	FetchRate float64
-
-	// SampleDetailed/SampleSkip are the systematic-sampling phase lengths,
-	// required (both positive) in sampled mode and ignored otherwise.
-	SampleDetailed uint64
-	SampleSkip     uint64
+	// Spec is the run every point shares. Run validates it and always
+	// decomposes sim-mode points: the sweep CSV carries the decomposition.
+	Spec engine.Spec
 
 	// BatchSize is the number of design points per dispatched shard; 0
 	// picks a default sized so each endpoint sees several shards.
@@ -196,7 +184,7 @@ func (a *nodeAcc) record(d time.Duration) {
 // run is the live state of one distributed sweep.
 type run struct {
 	opts   Options
-	mode   string
+	spec   engine.Spec // canonical opts.Spec
 	sched  *scheduler
 	merger *Merger
 	ring   *Ring
@@ -252,23 +240,12 @@ func Run(ctx context.Context, opts Options, emit func(*Row) error) (*RunStats, e
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	mode := opts.Mode
-	if mode == "" {
-		mode = engine.ModeSim
+	// Every daemon would refuse a bad spec; catch it before dispatching.
+	if err := opts.Spec.Validate(); err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
 	}
-	if err := engine.CheckMode(mode); err != nil {
-		return nil, fmt.Errorf("cluster: %v", err)
-	}
-	if mode == engine.ModeSampled && (opts.SampleDetailed == 0 || opts.SampleSkip == 0) {
-		return nil, fmt.Errorf("cluster: sampled mode needs positive SampleDetailed and SampleSkip")
-	}
-	if opts.Insts <= 0 {
-		return nil, fmt.Errorf("cluster: non-positive insts %d", opts.Insts)
-	}
-	// Every daemon would refuse such a batch; catch it before dispatching.
-	if opts.Warmup >= uint64(opts.Insts) {
-		return nil, fmt.Errorf("cluster: warmup %d must be less than insts %d", opts.Warmup, opts.Insts)
-	}
+	spec := opts.Spec.Canonical()
+	spec.Decompose = spec.Mode == engine.ModeSim
 	stealAfter := opts.StealAfter
 	if stealAfter == 0 {
 		stealAfter = 5 * time.Second
@@ -313,7 +290,7 @@ func Run(ctx context.Context, opts Options, emit func(*Row) error) (*RunStats, e
 
 	r := &run{
 		opts:   opts,
-		mode:   mode,
+		spec:   spec,
 		sched:  newScheduler(plan, stealAfter),
 		merger: NewMerger(plan.Points, emit),
 		ring:   plan.Ring,
@@ -455,20 +432,18 @@ func (r *run) runEndpoint(ctx context.Context, c *Client) {
 // duplicates are discarded.
 func (r *run) dispatch(ctx context.Context, c *Client, st *batchState) error {
 	req := service.BatchRequest{
-		Benchmark: st.Bench,
-		Insts:     r.opts.Insts,
-		Warmup:    r.opts.Warmup,
-		Pred:      r.opts.Pred,
-		VPred:     r.opts.VPred,
-		FetchRate: r.opts.FetchRate,
-		Mode:      r.mode,
-		Decompose: r.mode == engine.ModeSim,
-		TimeoutMS: int(r.opts.PointTimeout / time.Millisecond),
-		Points:    st.Specs,
-	}
-	if r.mode == engine.ModeSampled {
-		req.SampleDetailed = r.opts.SampleDetailed
-		req.SampleSkip = r.opts.SampleSkip
+		Benchmark:      st.Bench,
+		Mode:           r.spec.Mode,
+		Insts:          r.spec.Insts,
+		Warmup:         r.spec.Warmup,
+		Decompose:      r.spec.Decompose,
+		SampleDetailed: r.spec.SampleDetailed,
+		SampleSkip:     r.spec.SampleSkip,
+		Pred:           r.spec.Pred,
+		VPred:          r.spec.VPred,
+		FetchRate:      r.spec.FetchRate,
+		TimeoutMS:      int(r.opts.PointTimeout / time.Millisecond),
+		Points:         st.Specs,
 	}
 	backoff := 200 * time.Millisecond
 	for attempt := 0; ; attempt++ {
@@ -530,7 +505,7 @@ func (r *run) summary(ctx context.Context, clients []*Client, plan Plan, elapsed
 		Batches: len(plan.Batches),
 		Stolen:  stolen,
 		Elapsed: elapsed,
-		Insts:   r.opts.Insts,
+		Insts:   r.spec.Insts,
 	}
 	for _, c := range clients {
 		acc := r.nodes[c.Base]

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"intervalsim/internal/core"
+	"intervalsim/internal/engine"
 	"intervalsim/internal/experiments"
 	"intervalsim/internal/overlay"
 	"intervalsim/internal/service"
@@ -102,8 +103,7 @@ func TestRunMatchesSingleProcess(t *testing.T) {
 		Widths:     widths,
 		Depths:     depths,
 		ROBs:       robs,
-		Insts:      insts,
-		Warmup:     warmup,
+		Spec:       engine.Spec{Insts: insts, Warmup: warmup},
 		BatchSize:  1,
 		StealAfter: -1, // pure scheduling, no steals
 		KeepGoing:  true,
@@ -206,8 +206,7 @@ func TestRunSurvivesKilledDaemon(t *testing.T) {
 		Widths:     widths,
 		Depths:     depths,
 		ROBs:       robs,
-		Insts:      insts,
-		Warmup:     warmup,
+		Spec:       engine.Spec{Insts: insts, Warmup: warmup},
 		BatchSize:  1,
 		Retries:    1,
 		StealAfter: 100 * time.Millisecond,
@@ -272,8 +271,7 @@ func TestRunStealsFromSlowNode(t *testing.T) {
 		Widths:     widths,
 		Depths:     depths,
 		ROBs:       robs,
-		Insts:      insts,
-		Warmup:     warmup,
+		Spec:       engine.Spec{Insts: insts, Warmup: warmup},
 		BatchSize:  1,
 		StealAfter: 50 * time.Millisecond,
 		KeepGoing:  true,
@@ -311,8 +309,7 @@ func TestRunFailSoftPoints(t *testing.T) {
 			Widths:       []int{2, 4},
 			Depths:       []int{3},
 			ROBs:         []int{64},
-			Insts:        2_000_000,
-			Warmup:       1_000,
+			Spec:         engine.Spec{Insts: 2_000_000, Warmup: 1_000},
 			PointTimeout: time.Millisecond, // far below the work
 			BatchSize:    1,
 			StealAfter:   -1,
@@ -344,7 +341,7 @@ func TestRunNoHealthyEndpoints(t *testing.T) {
 		Widths:    []int{2},
 		Depths:    []int{3},
 		ROBs:      []int{64},
-		Insts:     1000,
+		Spec:      engine.Spec{Insts: 1000},
 	}, func(*Row) error { return nil })
 	if err == nil || !strings.Contains(err.Error(), "no healthy endpoints") {
 		t.Fatalf("err = %v, want no-healthy-endpoints", err)
@@ -416,26 +413,26 @@ func TestRunModeValidation(t *testing.T) {
 		Endpoints: []string{"http://127.0.0.1:1"}, // never dialed
 		Benches:   []string{"gzip"},
 		Widths:    []int{2}, Depths: []int{3}, ROBs: []int{64},
-		Insts: 1000,
+		Spec: engine.Spec{Insts: 1000},
 	}
 
 	bad := base
-	bad.Mode = "turbo"
+	bad.Spec.Mode = "turbo"
 	if _, err := Run(context.Background(), bad, func(*Row) error { return nil }); err == nil ||
 		!strings.Contains(err.Error(), `unknown mode "turbo"`) {
 		t.Errorf("unknown mode: err = %v", err)
 	}
 
 	samp := base
-	samp.Mode = "sampled" // SampleDetailed/SampleSkip left zero
+	samp.Spec.Mode = "sampled" // SampleDetailed/SampleSkip left zero
 	if _, err := Run(context.Background(), samp, func(*Row) error { return nil }); err == nil ||
-		!strings.Contains(err.Error(), "needs positive SampleDetailed and SampleSkip") {
+		!strings.Contains(err.Error(), "sampled mode needs positive sample phases") {
 		t.Errorf("sampled without phases: err = %v", err)
 	}
 
 	for _, warmup := range []uint64{1000, 30000} {
 		long := base
-		long.Warmup = warmup
+		long.Spec.Warmup = warmup
 		if _, err := Run(context.Background(), long, func(*Row) error { return nil }); err == nil ||
 			!strings.Contains(err.Error(), fmt.Sprintf("warmup %d must be less than insts 1000", warmup)) {
 			t.Errorf("warmup %d >= insts: err = %v", warmup, err)
@@ -466,8 +463,7 @@ func TestRunRejectedBatchFailsFast(t *testing.T) {
 		Widths:    []int{2, 4},
 		Depths:    []int{3},
 		ROBs:      []int{70000},
-		Insts:     20000,
-		Warmup:    5000,
+		Spec:      engine.Spec{Insts: 20000, Warmup: 5000},
 		BatchSize: 1,
 		Retries:   3,
 		KeepGoing: true,

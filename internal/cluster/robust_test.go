@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"intervalsim/internal/engine"
 	"intervalsim/internal/service"
 )
 
@@ -162,7 +163,7 @@ func TestRunSkipsRecoveringNode(t *testing.T) {
 		Widths:    []int{2},
 		Depths:    []int{3},
 		ROBs:      []int{64},
-		Insts:     1000,
+		Spec:      engine.Spec{Insts: 1000},
 	}, func(*Row) error { return nil })
 	if err == nil || !strings.Contains(err.Error(), "no healthy endpoints") {
 		t.Fatalf("err = %v, want no-healthy-endpoints", err)
@@ -199,7 +200,7 @@ func TestRunZeroRowShard(t *testing.T) {
 		Widths:     []int{2, 4},
 		Depths:     []int{3},
 		ROBs:       []int{64},
-		Insts:      1000,
+		Spec:       engine.Spec{Insts: 1000},
 		BatchSize:  2,
 		StealAfter: -1,
 		KeepGoing:  true,

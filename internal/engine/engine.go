@@ -5,13 +5,14 @@
 // (width, depth, ROB) machine" by calling Executor.Run, so a point means the
 // same computation, and renders the same bytes, wherever it is asked.
 //
-// The package owns the per-mode decisions: which simulator options a mode
-// runs with, which shared artifacts it needs (an overlay except in sampled
-// mode, a model set only in model mode), the penalty decomposition, and the
-// sweep CSV's columns and format verbs (csv.go). Callers own where the packed
-// trace and the overlay come from: the sweep command packs its own and uses
-// the process-wide overlay cache, the daemon resolves both through its
-// peer-filled caches.
+// The package owns the run spec (spec.go: the run axes, their flags,
+// admission rules, canonical spelling and machines) and the per-mode
+// decisions: which simulator options a mode runs with, which shared
+// artifacts it needs (an overlay except in sampled mode, a model set only in
+// model mode), the penalty decomposition, and the sweep CSV's columns and
+// format verbs (csv.go). Callers own where the packed trace and the overlay
+// come from: the sweep command packs its own and uses the process-wide
+// overlay cache, the daemon resolves both through its peer-filled caches.
 package engine
 
 import (
@@ -41,30 +42,6 @@ const (
 	ModeModel = "model"
 )
 
-// CheckMode rejects anything but the three modes, naming them.
-func CheckMode(mode string) error {
-	switch mode {
-	case ModeSim, ModeSampled, ModeModel:
-		return nil
-	}
-	return fmt.Errorf("unknown mode %q (want sim, sampled or model)", mode)
-}
-
-// Spec is the part of a run every point of one sweep shares.
-type Spec struct {
-	Mode   string
-	Insts  int    // dynamic instructions in the trace
-	Warmup uint64 // excluded from statistics; the initial functional skip in sampled mode
-
-	// Decompose adds the mean misprediction-penalty decomposition to each
-	// sim-mode point (one decomposition pass per point).
-	Decompose bool
-
-	// SampleDetailed/SampleSkip are the sampled-mode phase lengths.
-	SampleDetailed uint64
-	SampleSkip     uint64
-}
-
 // OverlayFunc resolves the miss-event overlay of soa under one speculation
 // configuration; overlay.Cache.GetSpec has this shape.
 type OverlayFunc func(soa *trace.SoA, pred bpred.Config, mem cache.HierarchyConfig, vp *vpred.Config) (*overlay.Overlay, error)
@@ -83,7 +60,7 @@ type Executor struct {
 // and cache geometry the overlay is keyed on, and the latencies of the model
 // set. maxROB is the largest ROB any point will request (model mode only).
 func New(spec Spec, base uarch.Config, maxROB int, soa *trace.SoA, overlays OverlayFunc) (*Executor, error) {
-	if err := CheckMode(spec.Mode); err != nil {
+	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	e := &Executor{spec: spec, soa: soa}

@@ -19,11 +19,9 @@ package service
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"time"
 
-	"intervalsim/internal/bpred"
-	"intervalsim/internal/experiments"
+	"intervalsim/internal/engine"
 	"intervalsim/internal/uarch"
 	"intervalsim/internal/vpred"
 	"intervalsim/internal/workload"
@@ -36,8 +34,8 @@ var errBadRequest = errors.New("service: bad request")
 
 // MachineSpec selects the simulated machine: either knob overrides applied
 // to the baseline design point (width/depth/rob, the axes every sweep in
-// the repository uses, built by experiments.Point so a point means the same
-// processor here and in cmd/sweep), or a complete uarch.Config for full
+// the repository uses, built by engine.PointConfig so a point means the
+// same processor here and in cmd/sweep), or a complete uarch.Config for full
 // control. Zero knobs inherit the baseline values. Pred swaps the branch
 // predictor for a named preset (bpred.Preset: "tage", "2bc-gskew",
 // "gshare", ...) on top of the knob axes; a full Config instead carries its
@@ -58,33 +56,10 @@ type MachineSpec struct {
 	Config    *uarch.Config `json:"config,omitempty"`
 }
 
-// resolvePred validates a predictor preset name at admission time, before
-// any machine is built: an unknown name is a client error (HTTP 400), never
-// a worker-side failure.
-func resolvePred(name string) (uarch.PredictorSpec, error) {
-	preset, ok := bpred.Preset(name)
-	if !ok {
-		return uarch.PredictorSpec{}, fmt.Errorf("%w: unknown predictor kind %q (want one of %s)",
-			errBadRequest, name, strings.Join(bpred.PresetNames(), ", "))
-	}
-	return preset, nil
-}
-
-// resolveVPred validates a value-predictor preset name at admission time,
-// mirroring resolvePred: an unknown name is a client error (HTTP 400), never
-// a worker-side failure. The returned config carries a zero Stream; the
-// caller fills it from the resolved workload.
-func resolveVPred(name string) (vpred.Config, error) {
-	preset, ok := vpred.Preset(name)
-	if !ok {
-		return vpred.Config{}, fmt.Errorf("%w: unknown value predictor kind %q (want one of %s)",
-			errBadRequest, name, strings.Join(vpred.PresetNames(), ", "))
-	}
-	return preset, nil
-}
-
-// resolve builds and validates the concrete configuration.
-func (m MachineSpec) resolve() (uarch.Config, error) {
+// resolve builds and validates the concrete configuration: the full Config
+// as given, or the knob point on base, the run spec's machine.
+func (m MachineSpec) resolve(base uarch.Config) (uarch.Config, error) {
+	var cfg uarch.Config
 	if m.Config != nil {
 		if m.Width != 0 || m.Depth != 0 || m.ROB != 0 {
 			return uarch.Config{}, fmt.Errorf("%w: give either knob overrides or a full config, not both", errBadRequest)
@@ -95,62 +70,27 @@ func (m MachineSpec) resolve() (uarch.Config, error) {
 		if m.VPred != "" || m.FetchRate != 0 {
 			return uarch.Config{}, fmt.Errorf("%w: give either vpred/fetchrate or a full config (which carries both fields), not both", errBadRequest)
 		}
-		cfg := *m.Config
+		cfg = *m.Config
 		if cfg.Name == "" {
 			cfg.Name = "custom"
 		}
-		if err := cfg.Validate(); err != nil {
-			return uarch.Config{}, fmt.Errorf("%w: %v", errBadRequest, err)
+	} else {
+		w, d, r := m.Width, m.Depth, m.ROB
+		if w == 0 {
+			w = base.DispatchWidth
 		}
-		return cfg, nil
-	}
-	base := uarch.Baseline()
-	w, d, r := m.Width, m.Depth, m.ROB
-	if w == 0 {
-		w = base.DispatchWidth
-	}
-	if d == 0 {
-		d = base.FrontendDepth
-	}
-	if r == 0 {
-		r = base.ROBSize
-	}
-	cfg := experiments.Point(w, d, r)
-	if m.Pred != "" {
-		preset, err := resolvePred(m.Pred)
-		if err != nil {
-			return uarch.Config{}, err
+		if d == 0 {
+			d = base.FrontendDepth
 		}
-		cfg.Pred = preset
-	}
-	if m.VPred != "" {
-		preset, err := resolveVPred(m.VPred)
-		if err != nil {
-			return uarch.Config{}, err
+		if r == 0 {
+			r = base.ROBSize
 		}
-		cfg.VPred = &preset
-	}
-	if m.FetchRate != 0 {
-		if m.FetchRate < 0 || m.FetchRate > 1 {
-			return uarch.Config{}, fmt.Errorf("%w: fetchrate %v outside (0, 1]", errBadRequest, m.FetchRate)
-		}
-		cfg.FetchRate = m.FetchRate
+		cfg = engine.PointConfig(base, w, d, r)
 	}
 	if err := cfg.Validate(); err != nil {
 		return uarch.Config{}, fmt.Errorf("%w: %v", errBadRequest, err)
 	}
 	return cfg, nil
-}
-
-// pointConfig resolves one (width, depth, rob) grid point on base's
-// predictor, value predictor and fetch rate — the processor cmd/sweep
-// simulates at the same point.
-func pointConfig(base uarch.Config, width, depth, rob int) uarch.Config {
-	cfg := experiments.Point(width, depth, rob)
-	cfg.Pred = base.Pred
-	cfg.VPred = base.VPred
-	cfg.FetchRate = base.FetchRate
-	return cfg
 }
 
 // SimulateRequest asks for one cycle-level simulation. Exactly one of
@@ -169,55 +109,65 @@ type SimulateRequest struct {
 // cycle-level simulation, answered synchronously.
 type ModelRequest = SimulateRequest
 
+// spec maps the request's run axes onto the engine's run spec.
+func (r *SimulateRequest) spec() engine.Spec {
+	return engine.Spec{Insts: r.Insts, Warmup: r.Warmup, Pred: r.Machine.Pred, VPred: r.Machine.VPred, FetchRate: r.Machine.FetchRate}
+}
+
 // simInputs is a fully resolved, validated request.
 type simInputs struct {
 	wc      workload.Config
+	spec    engine.Spec // canonical
 	cfg     uarch.Config
-	insts   int
-	warmup  uint64
 	timeout time.Duration
 }
 
 // resolveSimulate validates req against the server's limits.
 func (s *Server) resolveSimulate(req *SimulateRequest) (simInputs, error) {
+	return s.resolveRun(req.Benchmark, req.Workload, req.spec(), req.Machine, req.TimeoutMS)
+}
+
+// resolveRun is the admission check every request shares: the workload,
+// the run spec (engine.Spec.Validate, then the server's instruction
+// limits), the machine and the timeout.
+func (s *Server) resolveRun(bench string, wl *workload.Config, spec engine.Spec, m MachineSpec, timeoutMS int) (simInputs, error) {
 	var in simInputs
 	switch {
-	case req.Benchmark != "" && req.Workload != nil:
+	case bench != "" && wl != nil:
 		return in, fmt.Errorf("%w: give exactly one of benchmark or workload", errBadRequest)
-	case req.Benchmark != "":
-		wc, ok := workload.SuiteConfig(req.Benchmark)
+	case bench != "":
+		wc, ok := workload.SuiteConfig(bench)
 		if !ok {
-			return in, fmt.Errorf("%w: unknown benchmark %q", errBadRequest, req.Benchmark)
+			return in, fmt.Errorf("%w: unknown benchmark %q", errBadRequest, bench)
 		}
 		in.wc = wc
-	case req.Workload != nil:
-		if err := req.Workload.Validate(); err != nil {
+	case wl != nil:
+		if err := wl.Validate(); err != nil {
 			return in, fmt.Errorf("%w: %v", errBadRequest, err)
 		}
-		in.wc = *req.Workload
+		in.wc = *wl
 	default:
 		return in, fmt.Errorf("%w: give one of benchmark or workload", errBadRequest)
 	}
 
-	in.insts = req.Insts
-	if in.insts == 0 {
-		in.insts = 1_000_000
+	if spec.Insts == 0 {
+		spec.Insts = 1_000_000
 	}
-	if in.insts < 1000 || in.insts > s.opts.MaxInsts {
-		return in, fmt.Errorf("%w: insts %d outside [1000, %d]", errBadRequest, in.insts, s.opts.MaxInsts)
+	if err := spec.Validate(); err != nil {
+		return in, fmt.Errorf("%w: %v", errBadRequest, err)
 	}
-	in.warmup = req.Warmup
-	if in.warmup >= uint64(in.insts) {
-		return in, fmt.Errorf("%w: warmup %d >= insts %d", errBadRequest, in.warmup, in.insts)
+	if spec.Insts < 1000 || spec.Insts > s.opts.MaxInsts {
+		return in, fmt.Errorf("%w: insts %d outside [1000, %d]", errBadRequest, spec.Insts, s.opts.MaxInsts)
 	}
+	in.spec = spec.Canonical()
 
-	cfg, err := req.Machine.resolve()
+	cfg, err := m.resolve(in.spec.Machine(in.wc))
 	if err != nil {
 		return in, err
 	}
-	// A value predictor's stream is a property of the workload; presets (and
-	// full configs that leave Stream zero) pick it up from the resolved
-	// workload here, exactly as cmd/sweep and the experiments do.
+	// A value predictor's stream is a property of the workload; a full
+	// config that leaves Stream zero picks it up from the resolved workload
+	// here, as presets do in Machine.
 	if cfg.VPred != nil && cfg.VPred.Stream == (vpred.StreamConfig{}) {
 		vp := *cfg.VPred
 		vp.Stream = in.wc.ValueStream()
@@ -225,12 +175,12 @@ func (s *Server) resolveSimulate(req *SimulateRequest) (simInputs, error) {
 	}
 	in.cfg = cfg
 
-	if req.TimeoutMS < 0 {
+	if timeoutMS < 0 {
 		return in, fmt.Errorf("%w: negative timeout_ms", errBadRequest)
 	}
 	in.timeout = s.opts.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		in.timeout = time.Duration(req.TimeoutMS) * time.Millisecond
+	if timeoutMS > 0 {
+		in.timeout = time.Duration(timeoutMS) * time.Millisecond
 		if in.timeout > s.opts.MaxTimeout {
 			in.timeout = s.opts.MaxTimeout
 		}
@@ -331,6 +281,15 @@ type SweepRequest struct {
 	SampleDetailed uint64 `json:"sample_detailed,omitempty"`
 	SampleSkip     uint64 `json:"sample_skip,omitempty"`
 	TimeoutMS      int    `json:"timeout_ms,omitempty"` // per design point
+}
+
+// spec maps the request's run axes onto the engine's run spec.
+func (r *SweepRequest) spec() engine.Spec {
+	return engine.Spec{
+		Mode: r.Mode, Insts: r.Insts, Warmup: r.Warmup,
+		SampleDetailed: r.SampleDetailed, SampleSkip: r.SampleSkip,
+		Pred: r.Pred, VPred: r.VPred, FetchRate: r.FetchRate,
+	}
 }
 
 // SweepPoint is one NDJSON line of a sweep stream, emitted in completion

@@ -56,6 +56,15 @@ type BatchRequest struct {
 	Points         []BatchPointSpec `json:"points"`
 }
 
+// spec maps the request's run axes onto the engine's run spec.
+func (r *BatchRequest) spec() engine.Spec {
+	return engine.Spec{
+		Mode: r.Mode, Insts: r.Insts, Warmup: r.Warmup, Decompose: r.Decompose,
+		SampleDetailed: r.SampleDetailed, SampleSkip: r.SampleSkip,
+		Pred: r.Pred, VPred: r.VPred, FetchRate: r.FetchRate,
+	}
+}
+
 // BatchPoint is one NDJSON line of a batch stream, emitted in completion
 // order (Seq echoes the request's spec). Failed points carry Error and
 // Outcome instead of measurements.
@@ -147,11 +156,10 @@ func batchLine(sp BatchPointSpec, r engine.Result, err error, outcome string) Ba
 	return p
 }
 
-// pointInputs is a resolved sweep or batch: the shared run, its executor
-// spec, and the design points in submission order.
+// pointInputs is a resolved sweep or batch: the shared run and the design
+// points in submission order.
 type pointInputs struct {
 	simInputs
-	spec   engine.Spec
 	points []BatchPointSpec
 }
 
@@ -173,10 +181,10 @@ func (s *Server) checkPointCap(n int) error {
 	return nil
 }
 
-// resolvePoints is the admission check sweeps and batches share: the point
-// cap, every point's machine, the mode, and sampled mode's phase lengths.
-// Batch points are named by seq in errors; sweep points by their machine.
-func (s *Server) resolvePoints(base simInputs, points []BatchPointSpec, mode string, decompose bool, detailed, skip uint64, bySeq bool) (pointInputs, error) {
+// resolvePoints is the admission check sweeps and batches add to the run's:
+// the point cap and every point's machine. Batch points are named by seq in
+// errors; sweep points by their machine.
+func (s *Server) resolvePoints(base simInputs, points []BatchPointSpec, bySeq bool) (pointInputs, error) {
 	if err := s.checkPointCap(len(points)); err != nil {
 		return pointInputs{}, err
 	}
@@ -184,51 +192,25 @@ func (s *Server) resolvePoints(base simInputs, points []BatchPointSpec, mode str
 		if sp.Width <= 0 || sp.Depth <= 0 || sp.ROB <= 0 {
 			return pointInputs{}, fmt.Errorf("%w: point seq %d has non-positive knobs", errBadRequest, sp.Seq)
 		}
-		if err := pointConfig(base.cfg, sp.Width, sp.Depth, sp.ROB).Validate(); err != nil {
+		if err := engine.PointConfig(base.cfg, sp.Width, sp.Depth, sp.ROB).Validate(); err != nil {
 			if bySeq {
 				return pointInputs{}, fmt.Errorf("%w: point seq %d: %v", errBadRequest, sp.Seq, err)
 			}
 			return pointInputs{}, fmt.Errorf("%w: %v", errBadRequest, err)
 		}
 	}
-	if mode == "" {
-		mode = engine.ModeSim
-	}
-	if err := engine.CheckMode(mode); err != nil {
-		return pointInputs{}, fmt.Errorf("%w: %v", errBadRequest, err)
-	}
-	if decompose && mode != engine.ModeSim {
-		return pointInputs{}, fmt.Errorf("%w: decompose requires sim mode", errBadRequest)
-	}
-	if mode == engine.ModeSampled && (detailed == 0 || skip == 0) {
-		return pointInputs{}, fmt.Errorf("%w: sampled mode needs positive sample_detailed and sample_skip", errBadRequest)
-	}
-	return pointInputs{
-		simInputs: base,
-		spec: engine.Spec{
-			Mode: mode, Insts: base.insts, Warmup: base.warmup, Decompose: decompose,
-			SampleDetailed: detailed, SampleSkip: skip,
-		},
-		points: points,
-	}, nil
+	return pointInputs{simInputs: base, points: points}, nil
 }
 
 func (s *Server) resolveBatch(req *BatchRequest) (pointInputs, error) {
-	base, err := s.resolveSimulate(&SimulateRequest{
-		Benchmark: req.Benchmark,
-		Workload:  req.Workload,
-		Insts:     req.Insts,
-		Warmup:    req.Warmup,
-		Machine:   MachineSpec{Pred: req.Pred, VPred: req.VPred, FetchRate: req.FetchRate},
-		TimeoutMS: req.TimeoutMS,
-	})
+	base, err := s.resolveRun(req.Benchmark, req.Workload, req.spec(), MachineSpec{}, req.TimeoutMS)
 	if err != nil {
 		return pointInputs{}, err
 	}
 	if len(req.Points) == 0 {
 		return pointInputs{}, fmt.Errorf("%w: batch has no points", errBadRequest)
 	}
-	return s.resolvePoints(base, req.Points, req.Mode, req.Decompose, req.SampleDetailed, req.SampleSkip, true)
+	return s.resolvePoints(base, req.Points, true)
 }
 
 // handleBatch streams an explicit design-point list as NDJSON: one
@@ -261,7 +243,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // cache, each filled from fleet peers when they have it) and returns the
 // design-point executor over them.
 func (s *Server) executor(in simInputs, spec engine.Spec, maxROB int) (*engine.Executor, error) {
-	soa, err := s.sharedTrace(in.wc, in.insts)
+	soa, err := s.sharedTrace(in.wc, spec.Insts)
 	if err != nil {
 		return nil, err
 	}
@@ -313,7 +295,7 @@ func streamPoints[P any](s *Server, w http.ResponseWriter, r *http.Request, star
 	// rather than failing mid-stream.
 	go func() {
 		for _, sp := range in.points {
-			cfg := pointConfig(in.cfg, sp.Width, sp.Depth, sp.ROB)
+			cfg := engine.PointConfig(in.cfg, sp.Width, sp.Depth, sp.ROB)
 			var res engine.Result
 			t := &task{
 				name:     fmt.Sprintf("%s-%s-%s", sched.name, in.wc.Name, cfg.Name),

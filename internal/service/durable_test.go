@@ -385,10 +385,10 @@ func TestSweepJobResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := sweepJobSpec{
-		Benchmark: testSweep.Benchmark, Insts: in.insts,
+	spec := sweepJobSpec{SweepRequest: SweepRequest{
+		Benchmark: testSweep.Benchmark, Insts: in.spec.Insts,
 		Widths: in.widths, Depths: in.depths, ROBs: in.robs, Mode: in.spec.Mode,
-	}
+	}}
 	if _, err := j.Append(store.JournalBegin, mustJSON(spec)); err != nil {
 		t.Fatal(err)
 	}

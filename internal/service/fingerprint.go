@@ -46,8 +46,8 @@ func simKey(in simInputs) []byte {
 		V:        keyVersion,
 		Kind:     "simulate",
 		Workload: in.wc,
-		Insts:    in.insts,
-		Warmup:   in.warmup,
+		Insts:    in.spec.Insts,
+		Warmup:   in.spec.Warmup,
 		Config:   in.cfg,
 		// SpecFingerprintV with a nil vpred config returns the legacy
 		// SpecFingerprint value, so default-machine keys keep their exact
@@ -99,17 +99,17 @@ func sweepKey(in sweepInputs) []byte {
 		V:              keyVersion,
 		Kind:           "sweep",
 		Workload:       in.wc,
-		Insts:          in.insts,
-		Warmup:         in.warmup,
+		Insts:          in.spec.Insts,
+		Warmup:         in.spec.Warmup,
 		Widths:         in.widths,
 		Depths:         in.depths,
 		ROBs:           in.robs,
 		Mode:           in.spec.Mode,
 		SampleDetailed: in.spec.SampleDetailed,
 		SampleSkip:     in.spec.SampleSkip,
-		Pred:           in.pred,
-		VPred:          in.vpred,
-		FetchRate:      in.cfg.FetchRate,
+		Pred:           in.spec.Pred,
+		VPred:          in.spec.VPred,
+		FetchRate:      in.spec.FetchRate,
 		SpecFP:         overlay.SpecFingerprintV(in.cfg.Pred, in.cfg.Mem, in.cfg.VPred),
 	})
 	if err != nil {

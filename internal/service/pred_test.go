@@ -174,11 +174,11 @@ func TestSweepJobPredictorIdentity(t *testing.T) {
 	s := New(Options{})
 	defer s.Shutdown(context.Background()) //nolint:errcheck
 
-	spec := sweepJobSpec{
+	spec := sweepJobSpec{SweepRequest: SweepRequest{
 		Benchmark: "gzip", Insts: 20_000,
 		Widths: []int{2}, Depths: []int{4}, ROBs: []int{64},
 		Pred: "2bc-gskew", Mode: "sim",
-	}
+	}}
 	raw := mustJSON(spec)
 	var back sweepJobSpec
 	if err := json.Unmarshal(raw, &back); err != nil {
@@ -187,7 +187,7 @@ func TestSweepJobPredictorIdentity(t *testing.T) {
 	if back.Pred != "2bc-gskew" {
 		t.Fatalf("journaled spec lost the predictor: %+v", back)
 	}
-	in, err := s.resolveSweep(back.request())
+	in, err := s.resolveSweep(&back.SweepRequest)
 	if err != nil {
 		t.Fatal(err)
 	}

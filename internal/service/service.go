@@ -269,7 +269,7 @@ func statusFor(outcome string) int {
 // server's overlay cache (bit-identical to live simulation), with ctx wired
 // through to the simulator's cancellation watchdog.
 func (s *Server) runSimulate(ctx context.Context, in simInputs) (*SimulateResult, error) {
-	exec, err := s.executor(in, engine.Spec{Mode: engine.ModeSim, Insts: in.insts, Warmup: in.warmup}, in.cfg.ROBSize)
+	exec, err := s.executor(in, in.spec, in.cfg.ROBSize)
 	if err != nil {
 		return nil, err
 	}
@@ -285,7 +285,9 @@ func (s *Server) runSimulate(ctx context.Context, in simInputs) (*SimulateResult
 // overlay, with no cycle-level simulation at all. The model set's window
 // ladder ends at the machine's own ROB.
 func (s *Server) runModel(ctx context.Context, in simInputs) (*ModelResult, error) {
-	exec, err := s.executor(in, engine.Spec{Mode: engine.ModeModel, Insts: in.insts, Warmup: in.warmup}, in.cfg.ROBSize)
+	spec := in.spec
+	spec.Mode = engine.ModeModel
+	exec, err := s.executor(in, spec, in.cfg.ROBSize)
 	if err != nil {
 		return nil, err
 	}
@@ -579,27 +581,18 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // ---- sweep streaming ----
 
 // sweepInputs is a resolved sweep request: the grid's points plus the axes
-// and preset names its durable identity is built from.
+// its durable identity is built from.
 type sweepInputs struct {
 	pointInputs
 	widths, depths, robs []int
-	pred                 string // predictor preset name ("" = baseline)
-	vpred                string // value-predictor preset name ("" = none)
 }
 
 func (s *Server) resolveSweep(req *SweepRequest) (sweepInputs, error) {
-	base, err := s.resolveSimulate(&SimulateRequest{
-		Benchmark: req.Benchmark,
-		Workload:  req.Workload,
-		Insts:     req.Insts,
-		Warmup:    req.Warmup,
-		Machine:   MachineSpec{Pred: req.Pred, VPred: req.VPred, FetchRate: req.FetchRate},
-		TimeoutMS: req.TimeoutMS,
-	})
+	base, err := s.resolveRun(req.Benchmark, req.Workload, req.spec(), MachineSpec{}, req.TimeoutMS)
 	if err != nil {
 		return sweepInputs{}, err
 	}
-	in := sweepInputs{widths: req.Widths, depths: req.Depths, robs: req.ROBs, pred: req.Pred, vpred: req.VPred}
+	in := sweepInputs{widths: req.Widths, depths: req.Depths, robs: req.ROBs}
 	widths, depths, robs := experiments.DefaultGrid()
 	if len(in.widths) == 0 {
 		in.widths = widths
@@ -622,8 +615,7 @@ func (s *Server) resolveSweep(req *SweepRequest) (sweepInputs, error) {
 	if err := s.checkPointCap(len(in.widths) * len(in.depths) * len(in.robs)); err != nil {
 		return sweepInputs{}, err
 	}
-	in.pointInputs, err = s.resolvePoints(base, gridPoints(in.widths, in.depths, in.robs),
-		req.Mode, false, req.SampleDetailed, req.SampleSkip, false)
+	in.pointInputs, err = s.resolvePoints(base, gridPoints(in.widths, in.depths, in.robs), false)
 	return in, err
 }
 

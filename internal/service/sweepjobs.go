@@ -12,7 +12,6 @@ import (
 
 	"intervalsim/internal/engine"
 	"intervalsim/internal/store"
-	"intervalsim/internal/workload"
 )
 
 // Durable sweep jobs: POST /v1/sweepjobs admits a design-space sweep whose
@@ -27,45 +26,21 @@ import (
 // the job's content address and served by GET /v1/sweepjobs/{id}/csv.
 
 // sweepJobSpec is the JournalBegin payload: everything needed to resume the
-// job in a fresh process. Axes are journaled in resolved form so a resume
-// enumerates the identical grid even if server-side defaults change.
+// job in a fresh process — the request with its axes in resolved form (so a
+// resume enumerates the identical grid even if server-side defaults
+// change), plus the job's scheduling.
 type sweepJobSpec struct {
-	Benchmark      string           `json:"benchmark,omitempty"`
-	Workload       *workload.Config `json:"workload,omitempty"`
-	Insts          int              `json:"insts"`
-	Warmup         uint64           `json:"warmup,omitempty"`
-	Widths         []int            `json:"widths"`
-	Depths         []int            `json:"depths"`
-	ROBs           []int            `json:"robs"`
-	Pred           string           `json:"pred,omitempty"`
-	VPred          string           `json:"vpred,omitempty"`
-	FetchRate      float64          `json:"fetchrate,omitempty"`
-	Mode           string           `json:"mode"`
-	SampleDetailed uint64           `json:"sample_detailed,omitempty"`
-	SampleSkip     uint64           `json:"sample_skip,omitempty"`
-	TimeoutMS      int              `json:"timeout_ms,omitempty"`
-	Tenant         string           `json:"tenant,omitempty"`
-	Priority       int              `json:"priority,omitempty"`
+	SweepRequest
+	Tenant   string `json:"tenant,omitempty"`
+	Priority int    `json:"priority,omitempty"`
 }
 
-// request converts the journaled spec back into a resolvable request.
-func (sp sweepJobSpec) request() *SweepRequest {
-	return &SweepRequest{
-		Benchmark:      sp.Benchmark,
-		Workload:       sp.Workload,
-		Insts:          sp.Insts,
-		Warmup:         sp.Warmup,
-		Widths:         sp.Widths,
-		Depths:         sp.Depths,
-		ROBs:           sp.ROBs,
-		Pred:           sp.Pred,
-		VPred:          sp.VPred,
-		FetchRate:      sp.FetchRate,
-		Mode:           sp.Mode,
-		SampleDetailed: sp.SampleDetailed,
-		SampleSkip:     sp.SampleSkip,
-		TimeoutMS:      sp.TimeoutMS,
-	}
+// journal is the JournalBegin payload of req, resolved as in.
+func (in sweepInputs) journal(req SweepRequest, tenant string, priority int) sweepJobSpec {
+	spec := sweepJobSpec{SweepRequest: req, Tenant: tenant, Priority: priority}
+	spec.Widths, spec.Depths, spec.ROBs = in.widths, in.depths, in.robs
+	spec.Mode, spec.Insts, spec.Pred, spec.FetchRate = in.spec.Mode, in.spec.Insts, in.spec.Pred, in.spec.FetchRate
+	return spec
 }
 
 // SweepJobResult is the Result document of a finished sweep job.
@@ -128,24 +103,7 @@ func (s *Server) handleSweepJobSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	spec := sweepJobSpec{
-		Benchmark:      req.Benchmark,
-		Workload:       req.Workload,
-		Insts:          in.insts,
-		Warmup:         in.warmup,
-		Widths:         in.widths,
-		Depths:         in.depths,
-		ROBs:           in.robs,
-		Pred:           in.pred,
-		VPred:          in.vpred,
-		FetchRate:      in.cfg.FetchRate,
-		Mode:           in.spec.Mode,
-		SampleDetailed: in.spec.SampleDetailed,
-		SampleSkip:     in.spec.SampleSkip,
-		TimeoutMS:      req.TimeoutMS,
-		Tenant:         tenant,
-		Priority:       priority,
-	}
+	spec := in.journal(req, tenant, priority)
 	j, _, _, err := s.opts.Store.OpenJournal(id)
 	if err != nil {
 		s.jobs.markFinished(id, outcomeError, err.Error(), 0)
@@ -244,7 +202,7 @@ func (s *Server) recoverJournals() {
 			st.RemoveJournal(id) //nolint:errcheck
 			continue
 		}
-		in, err := s.resolveSweep(spec.request())
+		in, err := s.resolveSweep(&spec.SweepRequest)
 		if err != nil {
 			j.Close()
 			st.RemoveJournal(id) //nolint:errcheck
@@ -293,7 +251,7 @@ func (s *Server) runSweepJob(id string, j *store.Log, spec sweepJobSpec, in swee
 	)
 	wg.Add(len(todo))
 	for _, sp := range todo {
-		cfg := pointConfig(in.cfg, sp.Width, sp.Depth, sp.ROB)
+		cfg := engine.PointConfig(in.cfg, sp.Width, sp.Depth, sp.ROB)
 		var res engine.Result
 		t := &task{
 			name:     fmt.Sprintf("sweepjob-%s-%d", id, sp.Seq),

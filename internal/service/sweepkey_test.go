@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"testing"
@@ -46,8 +47,8 @@ var keyedSweeps = []struct {
 
 // TestSweepKeyBytesStable pins the full identity bytes and job IDs of
 // non-default durable sweeps (TestSweepSurfaceGolden pins the default ones),
-// and checks that a journal written in the recorded format resumes onto the
-// same identity. If this test ever needs new literals, every stored sweep
+// and checks that journals keep the recorded format and that a journal in
+// that format resumes onto the same identity. If this test ever needs new literals, every stored sweep
 // artifact under those identities has been orphaned.
 func TestSweepKeyBytesStable(t *testing.T) {
 	s := New(Options{})
@@ -66,6 +67,9 @@ func TestSweepKeyBytesStable(t *testing.T) {
 			t.Errorf("%s: job ID = %s, want %s", c.name, id, c.id)
 		}
 
+		if j := mustJSON(in.journal(req, "acme", 2)); string(j) != c.journal {
+			t.Errorf("%s: journal format drifted:\n got %s\nwant %s", c.name, j, c.journal)
+		}
 		var spec sweepJobSpec
 		if err := json.Unmarshal([]byte(c.journal), &spec); err != nil {
 			t.Fatalf("%s: journal: %v", c.name, err)
@@ -73,12 +77,65 @@ func TestSweepKeyBytesStable(t *testing.T) {
 		if spec.Tenant != "acme" || spec.Priority != 2 {
 			t.Errorf("%s: journal lost tenant/priority: %+v", c.name, spec)
 		}
-		resumed, err := s.resolveSweep(spec.request())
+		resumed, err := s.resolveSweep(&spec.SweepRequest)
 		if err != nil {
 			t.Fatalf("%s: resume: %v", c.name, err)
 		}
 		if k := sweepKey(resumed); string(k) != c.key {
 			t.Errorf("%s: resumed journal resolves to another identity:\n got %s\nwant %s", c.name, k, c.key)
+		}
+	}
+}
+
+// TestOneIdentityPerRun: three spellings of one run — the default, an
+// explicit baseline predictor, and fetch rate 1 (the full-rate frontend,
+// like 0) — share one durable sweep identity and one /v1/simulate store
+// key, and answer with identical rows.
+func TestOneIdentityPerRun(t *testing.T) {
+	s, ts := newTestServer(t, Options{Workers: 2})
+
+	def := SweepRequest{Benchmark: "twolf", Insts: 20_000, Widths: []int{4}, Depths: []int{4}, ROBs: []int{64}}
+	tour, full := def, def
+	tour.Pred = "tournament"
+	full.FetchRate = 1
+	var keys [][]byte
+	var rows []SweepPoint
+	for _, req := range []SweepRequest{def, tour, full} {
+		in, err := s.resolveSweep(&req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, sweepKey(in))
+		pts, _ := readSweep(t, postJSON(t, ts.URL+"/v1/sweep", req))
+		if len(pts) != 1 || pts[0].Error != "" {
+			t.Fatalf("%+v: points %+v", req, pts)
+		}
+		rows = append(rows, pts[0])
+	}
+	for i, name := range []string{"pred tournament", "fetchrate 1"} {
+		if k := keys[i+1]; !bytes.Equal(k, keys[0]) {
+			t.Errorf("%s: sweep job %s, default %s:\n%s\n%s", name, jobID("s", k), jobID("s", keys[0]), k, keys[0])
+		}
+		if rows[i+1] != rows[0] {
+			t.Errorf("%s: row %+v, default %+v", name, rows[i+1], rows[0])
+		}
+	}
+
+	simDef := SimulateRequest{Benchmark: "twolf", Insts: 20_000, Machine: MachineSpec{Width: 4, Depth: 4, ROB: 64}}
+	simTour, simFull := simDef, simDef
+	simTour.Machine.Pred = "tournament"
+	simFull.Machine.FetchRate = 1
+	var simKeys [][]byte
+	for _, req := range []SimulateRequest{simDef, simTour, simFull} {
+		in, err := s.resolveSimulate(&req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		simKeys = append(simKeys, simKey(in))
+	}
+	for i, name := range []string{"pred tournament", "fetchrate 1"} {
+		if !bytes.Equal(simKeys[i+1], simKeys[0]) {
+			t.Errorf("%s: simulate key differs from the default:\n%s\n%s", name, simKeys[i+1], simKeys[0])
 		}
 	}
 }

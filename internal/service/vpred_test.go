@@ -56,7 +56,7 @@ func TestUnknownVPredRejected(t *testing.T) {
 				}
 			}
 		}
-		if strings.Contains(tc.name, "fetchrate") && !strings.Contains(body.Error, "(0, 1]") {
+		if strings.Contains(tc.name, "fetchrate") && !strings.Contains(body.Error, "[0, 1]") {
 			t.Errorf("%s: error %q does not state the valid range", tc.name, body.Error)
 		}
 	}
@@ -159,11 +159,11 @@ func TestSweepJobVPredIdentity(t *testing.T) {
 	s := New(Options{})
 	defer s.Shutdown(context.Background()) //nolint:errcheck
 
-	spec := sweepJobSpec{
+	spec := sweepJobSpec{SweepRequest: SweepRequest{
 		Benchmark: "gzip", Insts: 20_000,
 		Widths: []int{2}, Depths: []int{4}, ROBs: []int{64},
 		VPred: "stride", FetchRate: 0.5, Mode: "sim",
-	}
+	}}
 	raw := mustJSON(spec)
 	var back sweepJobSpec
 	if err := json.Unmarshal(raw, &back); err != nil {
@@ -172,7 +172,7 @@ func TestSweepJobVPredIdentity(t *testing.T) {
 	if back.VPred != "stride" || back.FetchRate != 0.5 {
 		t.Fatalf("journaled spec lost the value-speculation axes: %+v", back)
 	}
-	in, err := s.resolveSweep(back.request())
+	in, err := s.resolveSweep(&back.SweepRequest)
 	if err != nil {
 		t.Fatal(err)
 	}
